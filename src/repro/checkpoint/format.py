@@ -1,44 +1,44 @@
-"""Checkpoint file format: CRC-guarded, schema-versioned, atomic.
+"""Checkpoint file format: sealed, schema-versioned, atomic.
 
-A checkpoint is one JSON document::
+A checkpoint is one sealed JSON record (:func:`repro.durable.seal_record`)::
 
-    {"format": "repro-checkpoint",
-     "schema": 1,                      # file-format revision
-     "version": "0.1.0",               # repro package that wrote it
-     "crc32": 3735928559,              # over canonical {"body","meta"}
+    {"_crc32": 3735928559,             # over the canonical rest
+     "body": {...},                    # tagged-JSON simulation state
+     "format": "repro-checkpoint",
      "meta": {...},                    # cycle, kind, job digest, ...
-     "body": {...}}                    # tagged-JSON simulation state
+     "schema": 2,                      # file-format revision
+     "version": "0.1.0"}               # repro package that wrote it
 
 The CRC covers the canonical (sorted, whitespace-free) serialisation of
-``{"body": ..., "meta": ...}``, so any flipped bit, truncated tail, or
-hand-edited field is detected before a single value reaches a component's
+every other field, so any flipped bit, truncated tail, or hand-edited
+field is detected before a single value reaches a component's
 ``restore_state``.  Every rejection raises
 :class:`~repro.errors.CheckpointError` — retryable, because the caller's
 correct reaction is to fall back to an older checkpoint or to cycle 0.
 
-Writes are crash-safe: the document goes to a temp file which is fsynced
-and then :func:`os.replace`'d over the target, after rotating the
-previous file to ``<path>.prev`` — a kill mid-write can never destroy the
-last good checkpoint.  The ``checkpoint.corrupt`` / ``checkpoint.truncated``
-fault sites (see :mod:`repro.faults`) deliberately damage the rendered
-document *before* it hits the disk, exercising exactly the rejection path
-a real torn write would take.
+Writes are crash-safe: the previous file is rotated to ``<path>.prev``,
+then the document is written with :func:`repro.durable.atomic_write` —
+a kill at any point leaves the last good checkpoint readable, at
+``<path>`` or at ``<path>.prev``.  The ``checkpoint.corrupt`` /
+``checkpoint.truncated`` fault sites (see :mod:`repro.faults`)
+deliberately damage the rendered document *before* it hits the disk,
+exercising exactly the rejection path a real torn write would take.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zlib
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from .. import __version__
+from ..durable import atomic_write, seal_record, unseal_record
 from ..errors import CheckpointError
 from ..obs import runtime as _obs
 from .codec import decode_value, encode_value
 
 #: bump on any incompatible change to the checkpoint document layout
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 MAGIC = "repro-checkpoint"
 
@@ -46,25 +46,14 @@ MAGIC = "repro-checkpoint"
 PREV_SUFFIX = ".prev"
 
 
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def render_checkpoint(body: Dict, meta: Optional[Dict] = None) -> str:
     """Serialise ``body`` (+ ``meta``) into the checkpoint document text."""
-    inner = {"body": encode_value(body), "meta": dict(meta or {}),
-             "version": __version__}
-    canonical = _canonical(inner)
-    document = {
-        "format": MAGIC,
-        "schema": SCHEMA_VERSION,
-        "crc32": zlib.crc32(canonical.encode("utf-8")),
-    }
-    document.update(inner)
-    return json.dumps(document, sort_keys=True)
+    return seal_record({"format": MAGIC, "schema": SCHEMA_VERSION,
+                        "version": __version__, "meta": dict(meta or {}),
+                        "body": encode_value(body)})
 
 
-def parse_checkpoint(text: str, source: str = "<memory>"
+def parse_checkpoint(text: Union[str, bytes], source: str = "<memory>"
                      ) -> Tuple[Dict, Dict]:
     """Validate a checkpoint document; returns ``(body, meta)``.
 
@@ -72,11 +61,13 @@ def parse_checkpoint(text: str, source: str = "<memory>"
     schema-compatible, checksum-clean document.
     """
     try:
-        document = json.loads(text)
+        document = unseal_record(text)
     except json.JSONDecodeError as exc:
         raise CheckpointError(
             f"checkpoint {source} is not valid JSON (truncated?): {exc}")
-    if not isinstance(document, dict) or document.get("format") != MAGIC:
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {source} is corrupt: {exc}")
+    if document.get("format") != MAGIC:
         raise CheckpointError(
             f"checkpoint {source} is not a {MAGIC} document")
     schema = document.get("schema")
@@ -84,19 +75,9 @@ def parse_checkpoint(text: str, source: str = "<memory>"
         raise CheckpointError(
             f"checkpoint {source} has schema {schema!r}; this build "
             f"reads schema {SCHEMA_VERSION}")
-    if "body" not in document or "crc32" not in document:
+    if "body" not in document:
         raise CheckpointError(f"checkpoint {source} is missing fields")
-    # the CRC covers everything except itself and the two fields whose
-    # exact values are checked above — flipping any other character,
-    # including the informational version string, is detected
-    inner = {"body": document["body"], "meta": document.get("meta", {}),
-             "version": document.get("version")}
-    crc = zlib.crc32(_canonical(inner).encode("utf-8"))
-    if crc != document["crc32"]:
-        raise CheckpointError(
-            f"checkpoint {source} failed its CRC check "
-            f"(stored {document['crc32']}, computed {crc}) — corrupt")
-    return decode_value(inner["body"]), inner["meta"]
+    return decode_value(document["body"]), document.get("meta", {})
 
 
 def _fault_damage(text: str) -> Tuple[str, Optional[str]]:
@@ -128,17 +109,10 @@ def save_checkpoint(path: str, body: Dict,
     """
     text = render_checkpoint(body, meta)
     text, damaged_by = _fault_damage(text)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if os.path.exists(path):
         os.replace(path, path + PREV_SUFFIX)
-    os.replace(tmp, path)
+    atomic_write(path, text + "\n")
     tel = _obs._active
     if tel is not None:
         tel.checkpoint_written(path, len(text) + 1,
@@ -156,7 +130,7 @@ def load_checkpoint(path: str) -> Tuple[Dict, Dict]:
     get the fallback-to-previous behaviour.
     """
     try:
-        with open(path, "r") as handle:
+        with open(path, "rb") as handle:
             text = handle.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}")

@@ -39,10 +39,10 @@ import os
 import time
 from typing import Dict, List, Optional
 
+from ..durable import atomic_write, seal_record, unseal_record
 from ..errors import ClusterError, ConfigurationError
 from ..fleet.spec import CampaignJob, assign_shards
-from ..fleet.store import ResultStore, seal_record, unseal_record
-from .lease import _atomic_write
+from ..fleet.store import ResultStore
 
 MANIFEST_NAME = "manifest.json"
 PLAN_NAME = "plan.json"
@@ -60,12 +60,12 @@ CLUSTER_JOURNAL_NAME = "cluster.jsonl"
 
 def _read_sealed(path: str, what: str) -> Dict:
     try:
-        with open(path, "r") as handle:
+        with open(path, "rb") as handle:
             text = handle.read()
     except FileNotFoundError:
         raise ClusterError(f"missing {what}: {path}")
     try:
-        return unseal_record(text.strip())
+        return unseal_record(text)
     except (ValueError, KeyError) as exc:
         raise ClusterError(f"damaged {what} at {path}: {exc}")
 
@@ -127,7 +127,7 @@ def submit(cluster_dir: str, jobs: List[CampaignJob],
         # poison (or be served from) the content-addressed store
         "cache": bool(cache) and fault_plan is None,
     }
-    _atomic_write(path, seal_record(record) + "\n")
+    atomic_write(path, seal_record(record) + "\n")
     return path
 
 
@@ -160,14 +160,14 @@ def publish_plan(cluster_dir: str, manifest: Dict) -> Dict:
     for index, shard in enumerate(shards):
         name = batch_name(index)
         names.append(name)
-        _atomic_write(
+        atomic_write(
             os.path.join(batch_root, name + ".json"),
             seal_record({"kind": "batch", "name": name,
                          "jobs": [job.to_dict() for job in shard]}) + "\n")
     plan = {"kind": "plan", "batches": names,
             "total_jobs": len(manifest["jobs"])}
-    _atomic_write(os.path.join(cluster_dir, PLAN_NAME),
-                  seal_record(plan) + "\n")
+    atomic_write(os.path.join(cluster_dir, PLAN_NAME),
+                 seal_record(plan) + "\n")
     return plan
 
 
@@ -196,9 +196,9 @@ def is_done(cluster_dir: str, name: str) -> bool:
 
 def mark_done(cluster_dir: str, name: str, node: str, token: int) -> None:
     os.makedirs(os.path.join(cluster_dir, DONE_DIR), exist_ok=True)
-    _atomic_write(done_path(cluster_dir, name),
-                  seal_record({"kind": "done", "batch": name,
-                               "node": node, "token": token}) + "\n")
+    atomic_write(done_path(cluster_dir, name),
+                 seal_record({"kind": "done", "batch": name,
+                              "node": node, "token": token}) + "\n")
 
 
 def final_path(cluster_dir: str) -> str:
@@ -244,16 +244,16 @@ def finalize(cluster_dir: str, node: str) -> str:
     # single-node orchestrator's end-of-campaign rewrite
     store.rewrite(records)
     aggregate = store.write_aggregate(ok, quarantined)
-    _atomic_write(final_path(cluster_dir),
-                  seal_record({"kind": "final", "node": node,
-                               "ok": len(ok),
-                               "quarantined": len(quarantined)}) + "\n")
+    atomic_write(final_path(cluster_dir),
+                 seal_record({"kind": "final", "node": node,
+                              "ok": len(ok),
+                              "quarantined": len(quarantined)}) + "\n")
     return aggregate
 
 
 def request_stop(cluster_dir: str) -> None:
     """Ask every node to stop at its next safe boundary (preemption)."""
-    _atomic_write(os.path.join(cluster_dir, STOP_NAME), "stop\n")
+    atomic_write(os.path.join(cluster_dir, STOP_NAME), "stop\n")
 
 
 def clear_stop(cluster_dir: str) -> None:

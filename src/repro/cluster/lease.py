@@ -27,29 +27,23 @@ cluster-lock serialises it against any competing claim).  The clock is
 injectable for tests; production uses ``time.time`` because expiry must
 be comparable across machines sharing the directory.
 
-Locking uses ``flock`` on a sidecar file.  A SIGKILLed holder's flock
-is released by the kernel automatically; its *lease* is not — that is
-the point: the lease outliving the process by up to one TTL is exactly
-the grace period that distinguishes "slow" from "dead".
+Locking is :func:`repro.durable.file_lock` on a sidecar file, and every
+record is written with :func:`repro.durable.atomic_write`.  A SIGKILLed
+holder's flock is released by the kernel automatically; its *lease* is
+not — that is the point: the lease outliving the process by up to one
+TTL is exactly the grace period that distinguishes "slow" from "dead".
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-try:                                   # POSIX advisory file locking
-    import fcntl
-except ImportError:                    # pragma: no cover - non-POSIX host
-    fcntl = None
-
+from ..durable import atomic_write, file_lock, seal_record, unseal_record
 from ..errors import StaleLeaseError
-from ..fleet.store import seal_record, unseal_record
 from ..obs import runtime as _obs
 
 LEASE_DIR = "leases"
@@ -85,21 +79,6 @@ class Lease:
                    renewals=int(record.get("renewals", 0)))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """tmp + fsync + rename: readers see the old record or the new one."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 class LeaseManager:
     """Claim / renew / release leases in a shared cluster directory.
 
@@ -127,22 +106,6 @@ class LeaseManager:
         self.fence_path = os.path.join(self.lease_dir, FENCE_NAME)
         self.lock_path = os.path.join(root, CLUSTER_LOCK_NAME)
 
-    # -- cluster-wide lock ---------------------------------------------------
-    @contextmanager
-    def _lock(self):
-        if fcntl is None:              # pragma: no cover - non-POSIX host
-            yield
-            return
-        handle = open(self.lock_path, "a")
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            finally:
-                handle.close()
-
     # -- record plumbing -----------------------------------------------------
     def _path(self, resource: str) -> str:
         return os.path.join(self.lease_dir, resource + LEASE_SUFFIX)
@@ -156,12 +119,12 @@ class LeaseManager:
         error from ever becoming a double-commit.
         """
         try:
-            with open(self._path(resource), "r") as handle:
+            with open(self._path(resource), "rb") as handle:
                 text = handle.read()
         except FileNotFoundError:
             return None
         try:
-            return Lease.from_record(unseal_record(text.strip()))
+            return Lease.from_record(unseal_record(text))
         except (ValueError, KeyError, TypeError) as exc:
             warnings.warn(
                 f"cluster lease {resource!r}: damaged record ({exc}); "
@@ -176,8 +139,8 @@ class LeaseManager:
         """Draw the next fencing token (call only under the lock)."""
         current = 0
         try:
-            with open(self.fence_path, "r") as handle:
-                current = int(unseal_record(handle.read().strip())["token"])
+            with open(self.fence_path, "rb") as handle:
+                current = int(unseal_record(handle.read())["token"])
         except (FileNotFoundError, ValueError, KeyError, TypeError):
             # recover the watermark from whatever leases survived
             for name in os.listdir(self.lease_dir):
@@ -187,8 +150,8 @@ class LeaseManager:
                 if lease is not None:
                     current = max(current, lease.token)
         token = max(current, floor) + 1
-        _atomic_write(self.fence_path,
-                      seal_record({"kind": "fence", "token": token}) + "\n")
+        atomic_write(self.fence_path,
+                     seal_record({"kind": "fence", "token": token}) + "\n")
         return token
 
     def _journal(self, op: str, **fields) -> None:
@@ -211,7 +174,7 @@ class LeaseManager:
         it) and any commit it attempts afterwards is rejected at the
         result store.
         """
-        with self._lock():
+        with file_lock(self.lock_path):
             now = self.clock()
             current = self.read(resource)
             if current is not None and not self.expired(current):
@@ -219,8 +182,8 @@ class LeaseManager:
             token = self._next_token(current.token if current else 0)
             lease = Lease(resource=resource, node=self.node, token=token,
                           claimed_at=now, expires_at=now + self.ttl_s)
-            _atomic_write(self._path(resource),
-                          seal_record(lease.to_record()) + "\n")
+            atomic_write(self._path(resource),
+                         seal_record(lease.to_record()) + "\n")
             self._count("claimed")
             if current is not None:
                 self._count("expired")
@@ -245,7 +208,7 @@ class LeaseManager:
         the resource immediately — its next commit would be rejected
         anyway, but abandoning early wastes fewer cycles.
         """
-        with self._lock():
+        with file_lock(self.lock_path):
             current = self.read(lease.resource)
             if current is None or current.token != lease.token:
                 self._count("fenced")
@@ -258,14 +221,14 @@ class LeaseManager:
                             token=lease.token, claimed_at=lease.claimed_at,
                             expires_at=self.clock() + self.ttl_s,
                             renewals=lease.renewals + 1)
-            _atomic_write(self._path(lease.resource),
-                          seal_record(renewed.to_record()) + "\n")
+            atomic_write(self._path(lease.resource),
+                         seal_record(renewed.to_record()) + "\n")
             self._count("renewed")
             return renewed
 
     def release(self, lease: Lease) -> bool:
         """Drop a lease we still hold; False if it was already fenced."""
-        with self._lock():
+        with file_lock(self.lock_path):
             current = self.read(lease.resource)
             if current is None or current.token != lease.token:
                 return False

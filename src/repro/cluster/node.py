@@ -33,10 +33,11 @@ import os
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..durable import atomic_write, file_lock, seal_record
 from ..errors import (CampaignPreempted, DeadlineExceeded, StaleLeaseError)
 from ..fleet.cache import ResultCache
 from ..fleet.spec import CampaignJob
-from ..fleet.store import ResultStore, seal_record
+from ..fleet.store import ResultStore
 from ..fleet.worker import checkpoint_path, execute_job
 from ..obs import runtime as _obs
 from ..resilience.breaker import CircuitBreaker
@@ -45,7 +46,7 @@ from .coordinator import (CACHE_DIR, CHECKPOINT_DIR, CLUSTER_JOURNAL_NAME,
                           NODE_DIR, cluster_status, finalize, is_done,
                           is_final, load_batch, load_manifest, load_plan,
                           mark_done, publish_plan, stop_requested)
-from .lease import Lease, LeaseManager, _atomic_write
+from .lease import Lease, LeaseManager
 
 #: lease resources that are not job batches
 COORDINATOR_RESOURCE = "coordinator"
@@ -97,7 +98,7 @@ class ClusterNode:
         """Publish this node's liveness record (``nodes/<id>.json``)."""
         node_dir = os.path.join(self.cluster_dir, NODE_DIR)
         os.makedirs(node_dir, exist_ok=True)
-        _atomic_write(
+        atomic_write(
             os.path.join(node_dir, self.node_id + ".json"),
             seal_record({
                 "kind": "node", "node": self.node_id, "pid": os.getpid(),
@@ -253,7 +254,7 @@ class ClusterNode:
         t0 = tel.tracer.now_us() if tel is not None else 0.0
         # the resume scan shares the store lock with commits: a record
         # is either visible here or its writer will be fenced
-        with self.store.lock():
+        with file_lock(self.store.lock_path):
             done_ids = {record["job_id"] for record in self.store.load()
                         if record.get("status") in ("ok", "quarantined")}
         outcome = "done"
@@ -269,7 +270,7 @@ class ClusterNode:
                 outcome = "stopped" if self._should_stop() else "fenced"
                 self.leases.release(holder[0])
                 break
-            payload = self.cache.lookup(job) if self.cache else None
+            payload = None if self.cache is None else self.cache.lookup(job)
             if payload is not None:
                 record = {
                     "job_id": job.job_id, "digest": job.digest,

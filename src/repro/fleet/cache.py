@@ -9,40 +9,29 @@ actually changed; everything else is a hit.
 The cache is safe to share between *processes and nodes* (it is the
 multi-node fleet's dedupe layer):
 
-* writes go to a temp file in the same directory, are flushed and
-  fsynced, then atomically renamed into place — concurrent writers of
+* writes are :func:`~repro.durable.atomic_write`: concurrent writers of
   the same digest race harmlessly (last rename wins, both wrote the
   same bytes) and a killed writer can never leave a half-written entry
   under the final name;
-* every entry carries a CRC-32 over the canonical serialisation of its
-  payload, re-verified on :meth:`lookup` together with the entry's
-  digest field, so a bit-flipped or foreign entry is **quarantined**
-  (moved to ``<digest>.json.quarantine`` for post-mortems) and reported
-  as a miss instead of being served as science.
+* every entry is one sealed record (:func:`~repro.durable.seal_record`),
+  re-verified on :meth:`lookup` together with the entry's digest field,
+  so a bit-flipped, unsealed or foreign entry is **quarantined** (moved
+  to ``<digest>.json.quarantine`` for post-mortems) and reported as a
+  miss instead of being served as science.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import warnings
-import zlib
 from typing import Dict, Optional
 
+from ..durable import atomic_write, seal_record, unseal_record
 from ..obs import runtime as _obs
-from .spec import CampaignJob, canonical_json
+from .spec import CampaignJob
 
 #: a damaged entry is preserved under this suffix, never served again
 QUARANTINE_SUFFIX = ".quarantine"
-
-#: per-entry checksum over the canonical payload serialisation
-PAYLOAD_CRC_FIELD = "payload_crc32"
-
-
-def payload_crc(payload: Dict) -> int:
-    """CRC-32 over the canonical JSON of a job payload."""
-    return zlib.crc32(canonical_json(payload).encode("utf-8"))
 
 
 class ResultCache:
@@ -57,7 +46,7 @@ class ResultCache:
     def _path(self, digest: str) -> str:
         return os.path.join(self.root, f"{digest}.json")
 
-    def _quarantine(self, path: str, reason: str) -> None:
+    def _reject(self, job: CampaignJob, path: str, reason: str) -> None:
         """Move a bad entry aside: a miss now, evidence later."""
         warnings.warn(
             f"result cache {path}: quarantining damaged entry ({reason})",
@@ -69,48 +58,36 @@ class ResultCache:
                 os.unlink(path)
             except OSError:
                 pass
+        self._note("miss", job)
 
     def lookup(self, job: CampaignJob) -> Optional[Dict]:
         """Return the cached payload for ``job``, or None on miss.
 
-        The entry is re-verified before it is served: its recorded
-        digest must match the job's (a foreign entry copied into the
-        wrong name is not a hit) and its payload must reproduce the
-        stored CRC (a torn or bit-flipped entry is not a hit).  Either
-        mismatch quarantines the entry and reports a miss — the job
-        simply re-executes, which is always safe.
+        The entry is re-verified before it is served: it must unseal
+        (a torn, bit-flipped or unsealed entry is not a hit) and its
+        recorded digest must match the job's (a foreign entry copied
+        into the wrong name is not a hit).  Any failure quarantines the
+        entry and reports a miss — the job simply re-executes, which is
+        always safe.
         """
         path = self._path(job.digest)
         try:
-            with open(path, "r") as handle:
-                entry = json.load(handle)
+            with open(path, "rb") as handle:
+                entry = unseal_record(handle.read())
         except FileNotFoundError:
             self._note("miss", job)
             return None
-        except (json.JSONDecodeError, OSError):
-            # unreadable entry: quarantine it and treat as a miss
-            self._quarantine(path, "not parseable as JSON")
-            self._note("miss", job)
-            return None
-        payload = entry.get("payload") if isinstance(entry, dict) else None
-        if not isinstance(payload, dict):
-            self._quarantine(path, "entry has no payload object")
-            self._note("miss", job)
-            return None
+        except (ValueError, OSError) as exc:
+            return self._reject(job, path, str(exc))
+        if not isinstance(entry.get("payload"), dict):
+            return self._reject(job, path, "entry has no payload object")
         if entry.get("digest") != job.digest:
-            self._quarantine(
-                path, f"digest mismatch: entry claims "
-                      f"{str(entry.get('digest'))[:12]}..., "
-                      f"job is {job.digest[:12]}...")
-            self._note("miss", job)
-            return None
-        stored_crc = entry.get(PAYLOAD_CRC_FIELD)
-        if stored_crc is not None and stored_crc != payload_crc(payload):
-            self._quarantine(path, "payload failed its CRC check")
-            self._note("miss", job)
-            return None
+            return self._reject(
+                job, path, f"digest mismatch: entry claims "
+                           f"{str(entry.get('digest'))[:12]}..., "
+                           f"job is {job.digest[:12]}...")
         self._note("hit", job)
-        return payload
+        return entry["payload"]
 
     def _note(self, result: str, job: CampaignJob) -> None:
         if result == "hit":
@@ -124,31 +101,16 @@ class ResultCache:
     def store(self, job: CampaignJob, payload: Dict) -> str:
         """Persist a job payload atomically; returns the entry path.
 
-        Write-to-temp, fsync, rename: concurrent multi-node writers of
-        the same digest each land a complete entry (payloads are
-        deterministic, so whichever rename wins the bytes are the same),
-        and a reader can never observe a torn entry under the final
-        name.  The fsync matters on the shared directory: a node may
-        crash right after another node's lookup decision depended on
-        this entry existing.
+        Concurrent multi-node writers of the same digest each land a
+        complete entry (payloads are deterministic, so whichever rename
+        wins the bytes are the same), and a reader can never observe a
+        torn entry under the final name.  Durability matters on the
+        shared directory: a node may crash right after another node's
+        lookup decision depended on this entry existing.
         """
         path = self._path(job.digest)
-        entry = canonical_json({
-            "digest": job.digest,
-            "job": job.to_dict(),
-            "payload": payload,
-            PAYLOAD_CRC_FIELD: payload_crc(payload),
-        })
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(entry)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        atomic_write(path, seal_record({
+            "digest": job.digest, "job": job.to_dict(), "payload": payload}))
         return path
 
     def __len__(self) -> int:

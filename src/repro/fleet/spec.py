@@ -19,11 +19,11 @@ job set and shard count, never on submission or completion order.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import __version__
+from ..durable import canonical_json
 from ..errors import ConfigurationError
 
 #: bump when the worker payload layout changes — invalidates every cache
@@ -35,11 +35,6 @@ SCHEMA_VERSION = 2
 #: ``flaky:N`` raises on attempts < N then succeeds, ``exit`` kills the
 #: worker process outright, ``hang:S`` sleeps S seconds before succeeding.
 FAULT_MODES = ("crash", "flaky", "exit", "hang")
-
-
-def canonical_json(payload) -> str:
-    """Canonical (sorted, whitespace-free) JSON used for hashing."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

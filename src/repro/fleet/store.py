@@ -25,65 +25,21 @@ crash/resume cycles (see docs/checkpoint.md).
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
-import zlib
-from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-try:                                   # POSIX advisory file locking
-    import fcntl
-except ImportError:                    # pragma: no cover - non-POSIX host
-    fcntl = None
-
-from .spec import canonical_json
+from ..durable import (append_line, atomic_write, canonical_json, file_lock,
+                       seal_record, unseal_record)
 
 STORE_NAME = "campaign.jsonl"
 AGGREGATE_NAME = "aggregate.json"
-
-#: per-record checksum field; stripped again on load
-CRC_FIELD = "_crc32"
 
 #: damaged lines are preserved here, one per line, for post-mortems
 QUARANTINE_SUFFIX = ".quarantine"
 
 #: advisory inter-process lock guarding appends (and fenced commits)
 LOCK_SUFFIX = ".lock"
-
-
-def seal_record(record: Dict) -> str:
-    """Render one record line with its ``_crc32`` over the canonical rest.
-
-    Public: the resilience admission journal shares this exact line
-    format, so one pair of seal/unseal functions guards both logs.
-    """
-    body = {key: value for key, value in record.items() if key != CRC_FIELD}
-    crc = zlib.crc32(canonical_json(body).encode("utf-8"))
-    sealed = dict(body)
-    sealed[CRC_FIELD] = crc
-    return json.dumps(sealed, sort_keys=True)
-
-
-def unseal_record(line: str) -> Dict:
-    """Parse and verify one record line; raises ``ValueError`` if damaged."""
-    record = json.loads(line)          # may raise JSONDecodeError
-    if not isinstance(record, dict):
-        raise ValueError("record line is not a JSON object")
-    if CRC_FIELD in record:
-        stored = record.pop(CRC_FIELD)
-        crc = zlib.crc32(canonical_json(record).encode("utf-8"))
-        if crc != stored:
-            raise ValueError(
-                f"record failed its CRC check (stored {stored}, "
-                f"computed {crc})")
-    # records written before checksums were introduced load unchanged
-    return record
-
-
-# internal aliases kept for the store's own call sites
-_seal = seal_record
-_unseal = unseal_record
 
 
 class ResultStore:
@@ -97,43 +53,18 @@ class ResultStore:
         self.quarantine_path = self.path + QUARANTINE_SUFFIX
         self.lock_path = self.path + LOCK_SUFFIX
 
-    @contextmanager
-    def lock(self):
-        """Advisory inter-process lock on the store (``flock``).
-
-        Held around every :meth:`append`, so two writer *processes* (the
-        multi-node cluster's whole premise) can never interleave a torn
-        line.  The lock lives in a sidecar file — never the JSONL itself,
-        whose atomic :meth:`rewrite` would otherwise swap the inode out
-        from under a waiting locker.  A SIGKILLed holder releases the
-        lock automatically (the kernel drops ``flock`` locks on close).
-        Callers may also take it explicitly to make a read-then-append
-        sequence atomic against other writers — it is reentrant-unsafe,
-        so never nest it.
-        """
-        if fcntl is None:              # pragma: no cover - non-POSIX host
-            yield
-            return
-        handle = open(self.lock_path, "a")
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            finally:
-                handle.close()
-
     def append(self, record: Dict,
                fence: Optional[Callable[[], None]] = None) -> None:
-        """Durably append one checksummed record line.
+        """Durably append one sealed record line.
 
         The line is flushed and fsynced before returning, so a record the
         caller believes is stored survives an immediate process kill;
         the worst a crash can leave is one torn final line, which
-        :meth:`load` detects and quarantines.  The whole append runs
-        under the store's inter-process :meth:`lock`, so concurrent
-        writer processes serialize instead of interleaving.
+        :meth:`load` detects and skips.  The whole append holds the
+        store's inter-process lock (:func:`~repro.durable.file_lock` on
+        :attr:`lock_path`), so concurrent writer processes serialize
+        instead of interleaving; callers take the same lock to make a
+        read-then-append sequence atomic against other writers.
 
         ``fence`` is the stale-claim guard for multi-node execution: a
         callable invoked *inside* the lock, before any byte is written.
@@ -142,21 +73,48 @@ class ResultStore:
         lease while paused is prevented from double-committing work that
         has since migrated to another node.
         """
-        with self.lock():
+        with file_lock(self.lock_path):
             if fence is not None:
                 fence()
-            with open(self.path, "a") as handle:
-                handle.write(_seal(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_line(self.path, seal_record(record))
 
-    def _quarantine_line(self, line: str, reason: str) -> None:
+    def _read(self, offset: int,
+              on_damaged: Callable[[bytes, ValueError], None]
+              ) -> Tuple[List[Dict], int, bytes]:
+        """Unseal the complete lines at or after byte ``offset``.
+
+        Returns ``(records, next_offset, partial)`` where ``partial`` is
+        the unterminated final fragment.  An ``offset`` that no longer
+        sits on a record boundary (an atomic :meth:`rewrite` happened
+        underneath) reads nothing and holds position.
+        """
+        try:
+            with open(self.path, "rb") as handle:
+                if offset > 0:
+                    handle.seek(offset - 1)
+                    if handle.read(1) != b"\n":
+                        return [], offset, b""
+                chunk = handle.read()
+        except FileNotFoundError:
+            return [], offset, b""
+        complete, sep, partial = chunk.rpartition(b"\n")
+        records: List[Dict] = []
+        for line in complete.split(b"\n") if sep else ():
+            if not line.strip():
+                continue
+            try:
+                records.append(unseal_record(line))
+            except ValueError as exc:
+                on_damaged(line, exc)
+        return records, offset + len(complete) + len(sep), partial
+
+    def _quarantine_line(self, line: bytes, exc: ValueError) -> None:
         warnings.warn(
             f"result store {self.path}: skipping damaged record "
-            f"({reason}); preserved in {self.quarantine_path}",
-            RuntimeWarning, stacklevel=3)
-        with open(self.quarantine_path, "a") as handle:
-            handle.write(line + "\n")
+            f"({exc}); preserved in {self.quarantine_path}",
+            RuntimeWarning, stacklevel=4)
+        with open(self.quarantine_path, "ab") as handle:
+            handle.write(line + b"\n")
 
     def load(self) -> List[Dict]:
         """Read back every intact record, quarantining damaged lines.
@@ -172,27 +130,13 @@ class ResultStore:
         any reader polling a live store would "quarantine" every append
         it happened to race — the concurrent-tailer bug.)
         """
-        records: List[Dict] = []
-        try:
-            with open(self.path, "r") as handle:
-                content = handle.read()
-        except FileNotFoundError:
-            return records
-        complete, sep, partial = content.rpartition("\n")
+        records, _, partial = self._read(0, self._quarantine_line)
         if partial.strip():
             warnings.warn(
                 f"result store {self.path}: ignoring an unterminated "
                 f"partial tail line ({len(partial)} bytes) — either an "
                 f"append in flight or a torn tail from a kill",
                 RuntimeWarning, stacklevel=2)
-        if sep:
-            for line in complete.split("\n"):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(_unseal(line))
-                except (json.JSONDecodeError, ValueError) as exc:
-                    self._quarantine_line(line, str(exc))
         return records
 
     def tail(self, offset: int = 0) -> Tuple[List[Dict], int]:
@@ -214,48 +158,18 @@ class ResultStore:
         no records rather than replaying lines it already delivered or
         misreading mid-line bytes as damage.
         """
-        if offset < 0:
-            offset = 0
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                if size <= offset:
-                    return [], offset
-                if offset > 0:
-                    handle.seek(offset - 1)
-                    if handle.read(1) != b"\n":
-                        return [], offset
-                else:
-                    handle.seek(offset)
-                chunk = handle.read(size - offset)
-        except FileNotFoundError:
-            return [], offset
-        complete, sep, _partial = chunk.rpartition(b"\n")
-        if not sep:
-            return [], offset
-        records: List[Dict] = []
-        for raw in complete.split(b"\n"):
-            line = raw.decode("utf-8", "replace")
-            if not line.strip():
-                continue
-            try:
-                records.append(_unseal(line))
-            except (json.JSONDecodeError, ValueError) as exc:
-                warnings.warn(
-                    f"result store {self.path}: tail skipped a damaged "
-                    f"record ({exc})", RuntimeWarning, stacklevel=2)
-        return records, offset + len(complete) + len(sep)
+        def skip(line: bytes, exc: ValueError) -> None:
+            warnings.warn(
+                f"result store {self.path}: tail skipped a damaged "
+                f"record ({exc})", RuntimeWarning, stacklevel=4)
+
+        records, next_offset, _ = self._read(max(offset, 0), skip)
+        return records, next_offset
 
     def rewrite(self, records: Iterable[Dict]) -> None:
         """Atomically replace the log with ``records`` (caller-sorted)."""
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            for record in records:
-                handle.write(_seal(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        atomic_write(self.path,
+                     (seal_record(record) + "\n" for record in records))
 
     def clear(self) -> None:
         try:
@@ -285,10 +199,5 @@ class ResultStore:
             "quarantined": sorted(
                 record["job_id"] for record in quarantined),
         }
-        tmp = self.aggregate_path + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write(canonical_json(body))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.aggregate_path)
+        atomic_write(self.aggregate_path, canonical_json(body))
         return self.aggregate_path

@@ -9,11 +9,12 @@ were already surviving crashes but sitting on disk unclaimed.
 
 The format is the :mod:`repro.fleet.store` line format exactly: one
 JSON object per line, each carrying a ``_crc32`` over the canonical
-serialisation of the rest (:func:`~repro.fleet.store.seal_record`), so
-a torn tail from a SIGKILL mid-append and a bit-flipped line from a bad
+serialisation of the rest (:func:`repro.durable.seal_record`), so a
+torn tail from a SIGKILL mid-append and a bit-flipped line from a bad
 disk are both detected on replay.  Appends are flushed and fsynced
-before returning — the write-ahead property is only real if the line is
-durable before the in-memory state machine moves.
+before returning (:func:`repro.durable.append_line`) — the write-ahead
+property is only real if the line is durable before the in-memory state
+machine moves.
 
 Record kinds::
 
@@ -29,14 +30,14 @@ the id-sequence high-water mark.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..fleet.store import seal_record, unseal_record
+from ..durable import (append_line, atomic_write, seal_record,
+                       unseal_record)
 
 JOURNAL_NAME = "journal.jsonl"
 
@@ -62,10 +63,7 @@ class AdmissionJournal:
         """Durably append one journal record; returns the record."""
         record = {"op": op}
         record.update(fields)
-        with open(self.path, "a") as handle:
-            handle.write(seal_record(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_line(self.path, seal_record(record))
         return record
 
     def admit(self, campaign_id: str, tenant: str, priority: int,
@@ -92,24 +90,22 @@ class AdmissionJournal:
         """
         records: List[Dict] = []
         try:
-            with open(self.path, "r") as handle:
+            with open(self.path, "rb") as handle:
                 content = handle.read()
         except FileNotFoundError:
             return records
-        complete, sep, partial = content.rpartition("\n")
+        complete, _, partial = content.rpartition(b"\n")
         if partial.strip():
             warnings.warn(
                 f"admission journal {self.path}: ignoring a torn tail "
                 f"line ({len(partial)} bytes) from an interrupted append",
                 RuntimeWarning, stacklevel=2)
-        if not sep:
-            return records
-        for line in complete.split("\n"):
+        for line in complete.split(b"\n"):
             if not line.strip():
                 continue
             try:
                 records.append(unseal_record(line))
-            except (json.JSONDecodeError, ValueError) as exc:
+            except ValueError as exc:
                 warnings.warn(
                     f"admission journal {self.path}: skipping a damaged "
                     f"record ({exc})", RuntimeWarning, stacklevel=2)
@@ -117,13 +113,8 @@ class AdmissionJournal:
 
     def rewrite(self, records: List[Dict]) -> None:
         """Atomically replace the journal (compaction after recovery)."""
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            for record in records:
-                handle.write(seal_record(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        atomic_write(self.path,
+                     (seal_record(record) + "\n" for record in records))
 
 
 @dataclass

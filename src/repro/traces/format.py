@@ -36,6 +36,7 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..durable import canonical_json
 from ..errors import TraceStoreError
 
 MAGIC = b"RTRC0001"
@@ -55,11 +56,6 @@ PH_COMPLETE = 0      # "X": a finished span with a duration
 PH_INSTANT = 1       # "i": a point on the timeline
 PH_CODES = {"X": PH_COMPLETE, "i": PH_INSTANT}
 PH_CHARS = {code: char for char, code in PH_CODES.items()}
-
-
-def canonical_json(payload) -> str:
-    """Canonical (sorted, whitespace-free) JSON — the CRC input form."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class StringTable:

@@ -1,4 +1,4 @@
-"""Streaming aggregation at ingest + the CRC-guarded summary sidecar.
+"""Streaming aggregation at ingest + the sealed summary sidecar.
 
 Every event streamed into a :class:`~repro.traces.store.TraceWriter`
 passes through a :class:`StreamingSummary` exactly once, so by the time
@@ -18,17 +18,14 @@ campaign matrix, not with trace length.
 from __future__ import annotations
 
 import heapq
-import json
-import os
-import zlib
 from bisect import bisect_left
 from typing import Dict, List, Optional
 
+from ..durable import atomic_write, seal_record, unseal_record
 from ..errors import TraceStoreError
-from .format import canonical_json
 
 SUMMARY_FORMAT = "repro-trace-summary"
-SUMMARY_SCHEMA = 1
+SUMMARY_SCHEMA = 2
 SUMMARY_SUFFIX = ".summary.json"
 
 #: span-duration histogram bounds in microseconds (log-spaced; the last
@@ -187,41 +184,26 @@ def sidecar_path(segment_path: str) -> str:
 
 
 def write_summary(path: str, body: Dict) -> str:
-    """Atomically write a CRC-sealed summary document."""
-    doc = {
-        "format": SUMMARY_FORMAT,
-        "schema": SUMMARY_SCHEMA,
-        "crc32": zlib.crc32(canonical_json(body).encode("utf-8"))
-        & 0xFFFFFFFF,
-        "body": body,
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    """Atomically write a sealed summary document."""
+    atomic_write(path, seal_record({"format": SUMMARY_FORMAT,
+                                    "schema": SUMMARY_SCHEMA,
+                                    "body": body}) + "\n")
     return path
 
 
 def load_summary(path: str) -> Dict:
     """Load and validate a summary sidecar; returns the body dict."""
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
+        with open(path, "rb") as handle:
+            doc = unseal_record(handle.read())
     except OSError as exc:
         raise TraceStoreError(f"summary sidecar unreadable: {exc}")
     except ValueError as exc:
-        raise TraceStoreError(f"summary sidecar is not valid JSON: {exc}")
+        raise TraceStoreError(f"summary sidecar rejected: {exc}")
     if doc.get("format") != SUMMARY_FORMAT:
         raise TraceStoreError(
             f"unexpected summary format {doc.get('format')!r}")
     if doc.get("schema") != SUMMARY_SCHEMA:
         raise TraceStoreError(
             f"unsupported summary schema {doc.get('schema')!r}")
-    body = doc.get("body")
-    crc = zlib.crc32(canonical_json(body).encode("utf-8")) & 0xFFFFFFFF
-    if crc != doc.get("crc32"):
-        raise TraceStoreError("summary sidecar CRC mismatch")
-    return body
+    return doc.get("body")

@@ -19,6 +19,7 @@ from repro.checkpoint import (CheckpointError, PREV_SUFFIX, checkpoint_info,
                               load_checkpoint, load_latest_checkpoint,
                               save_checkpoint)
 from repro.core.profiling import ProfilingSession, spec as pspec
+from repro.durable import seal_record
 from repro.core.profiling.export import result_to_json
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
@@ -140,9 +141,9 @@ def test_schema_mismatch_rejected(tmp_path):
     path = _saved_checkpoint(tmp_path)
     with open(path) as handle:
         document = json.load(handle)
-    document["schema"] = 999
+    document["schema"] = 999                      # intact, but foreign
     with open(path, "w") as handle:
-        json.dump(document, handle)
+        handle.write(seal_record(document))
     with pytest.raises(CheckpointError, match="schema"):
         load_checkpoint(path)
 
@@ -374,16 +375,6 @@ def test_store_recovers_records_after_a_corrupt_middle_line(tmp_path):
     # records before AND after the damaged line survive
     assert loaded == [r for r in _records(4) if r["payload"]["value"] != 1]
     assert any("CRC" in str(w.message) for w in caught)
-
-
-def test_store_accepts_legacy_lines_without_checksum(tmp_path):
-    store = ResultStore(str(tmp_path))
-    legacy = {"job_id": "old-1", "status": "ok", "payload": {}}
-    with open(store.path, "w") as handle:
-        handle.write(json.dumps(legacy, sort_keys=True) + "\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")        # no warning expected
-        assert store.load() == [legacy]
 
 
 def test_store_rewrite_is_checksummed_and_loadable(tmp_path):

@@ -21,9 +21,10 @@ import pytest
 from repro.cluster import (ClusterNode, cluster_status, dedupe_records,
                            run_clustered, submit)
 from repro.cluster.coordinator import load_batch, load_manifest, publish_plan
+from repro.durable import file_lock, unseal_record
 from repro.errors import ConfigurationError
 from repro.fleet.api import run_campaign
-from repro.fleet.cache import QUARANTINE_SUFFIX, ResultCache, payload_crc
+from repro.fleet.cache import QUARANTINE_SUFFIX, ResultCache
 from repro.fleet.spec import CampaignJob
 from repro.fleet.store import ResultStore
 
@@ -129,7 +130,7 @@ def test_concurrent_append_from_two_processes(tmp_path):
 
 def test_store_lock_serializes_read_then_append(tmp_path):
     store = ResultStore(str(tmp_path))
-    with store.lock():
+    with file_lock(store.lock_path):
         assert store.load() == []
         store_b = ResultStore(str(tmp_path))   # an uncontended reader
         assert store_b.load() == []
@@ -185,12 +186,6 @@ def test_cache_rejects_bitflipped_payload(tmp_path):
         json.dump(entry, handle)
     with pytest.warns(RuntimeWarning):
         assert cache.lookup(job) is None
-    # legacy entries (no stored CRC) are still served
-    entry["payload"]["value"] = 1
-    del entry["payload_crc32"]
-    with open(path, "w") as handle:
-        json.dump(entry, handle)
-    assert cache.lookup(job) == {"name": job.name, "value": 1}
 
 
 def test_cache_store_is_atomic_and_verified(tmp_path):
@@ -201,9 +196,25 @@ def test_cache_store_is_atomic_and_verified(tmp_path):
     assert not [n for n in os.listdir(str(tmp_path))
                 if n.endswith(".tmp")]         # no droppings
     with open(cache._path(job.digest)) as handle:
-        entry = json.load(handle)
-    assert entry["payload_crc32"] == payload_crc(payload)
+        entry = unseal_record(handle.read())
+    assert entry["payload"] == payload
     assert cache.lookup(job) == payload
+
+
+def test_cache_quarantines_unsealed_entry(tmp_path):
+    """An entry without its ``_crc32`` seal is damage, not a legacy hit:
+    it is quarantined and the job re-executes."""
+    cache = ResultCache(str(tmp_path))
+    job = make_jobs(1)[0]
+    path = cache.store(job, {"name": job.name, "value": 1})
+    with open(path) as handle:
+        entry = json.load(handle)
+    del entry["_crc32"]
+    with open(path, "w") as handle:
+        json.dump(entry, handle)
+    with pytest.warns(RuntimeWarning, match="CRC"):
+        assert cache.lookup(job) is None
+    assert os.path.exists(path + QUARANTINE_SUFFIX)
 
 
 # --- end-to-end: in-process cluster runs ------------------------------------
@@ -222,6 +233,28 @@ def test_cluster_aggregate_matches_single_node_bytes(tmp_path):
         cluster_bytes = handle.read()
     with open(ref.aggregate_path, "rb") as handle:
         assert handle.read() == cluster_bytes
+
+
+def test_cold_cluster_run_looks_up_every_job_once(tmp_path, monkeypatch):
+    """An empty cache is still a cache: each of N cold jobs makes exactly
+    one lookup, and no job lists the shared cache directory."""
+    lookups = []
+    real_lookup = ResultCache.lookup
+
+    def counting_lookup(self, job):
+        lookups.append(job.job_id)
+        return real_lookup(self, job)
+
+    def no_listing(self):
+        raise AssertionError("the cluster node listed the shared cache")
+
+    monkeypatch.setattr(ResultCache, "lookup", counting_lookup)
+    monkeypatch.setattr(ResultCache, "__len__", no_listing)
+    jobs = make_jobs(3)
+    report = run_clustered(jobs, str(tmp_path), nodes=0, batches=2,
+                           checkpoint_every=EVERY)
+    assert report.metrics.executed == 3
+    assert sorted(lookups) == sorted(job.job_id for job in jobs)
 
 
 def test_cluster_quarantines_poison_jobs(tmp_path):

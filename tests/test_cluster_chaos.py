@@ -23,9 +23,9 @@ from repro.cluster import submit
 from repro.cluster.coordinator import CLUSTER_JOURNAL_NAME
 from repro.cluster.lease import LEASE_DIR, LEASE_SUFFIX
 from repro.cluster.local import node_command
+from repro.durable import unseal_record
 from repro.fleet.api import run_campaign
 from repro.fleet.spec import CampaignJob
-from repro.fleet.store import unseal_record
 from repro.resilience.journal import AdmissionJournal
 
 CYCLES = 60_000          # long enough that a node dies mid-batch

@@ -1,0 +1,324 @@
+"""One property suite for every sealed on-disk format.
+
+Every JSON format the package persists is one record sealed by
+:func:`repro.durable.seal_record` (a ``_crc32`` over the canonical rest):
+result-store and journal lines, the cluster's lease, fence, manifest,
+plan, batch, done, final and node files, cache entries, checkpoints and
+trace summary sidecars.  Damage detection is therefore tested here once,
+through each format's real writer and real reader:
+
+* the record round-trips;
+* truncation at any byte is rejected, with or without a newline after
+  the cut;
+* any single-bit flip is rejected, unless the flipped bytes still parse
+  to the identical sealed document (a value-preserving spelling such as
+  ``1e-05`` vs ``1E-05``, or a 17th float digit that rounds to the same
+  double); the exhaustive sweep over a plain record shows none is
+  accepted at all — a damaged ``_crc32`` key included;
+* a torn final line of a line log is skipped and the prefix before it
+  survives.
+
+"Rejected" means the reader's own policy: the store quarantines, the
+journal skips, a lease reads as absent, the cache misses, and the
+checkpoint, cluster-file and summary readers raise.
+"""
+
+import json
+import os
+import string
+import tempfile
+import warnings
+from typing import Callable, NamedTuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from repro.cluster.coordinator import _read_sealed
+from repro.cluster.lease import Lease, LeaseManager
+from repro.durable import CRC_FIELD, atomic_write, seal_record
+from repro.errors import ClusterError, TraceStoreError
+from repro.fleet.cache import ResultCache
+from repro.fleet.spec import CampaignJob
+from repro.fleet.store import ResultStore
+from repro.resilience.journal import AdmissionJournal
+from repro.traces.summary import StreamingSummary, load_summary, write_summary
+
+JOB = CampaignJob(name="c0", domain="engine", device="tc1797", cycles=2_000)
+
+
+class Format(NamedTuple):
+    values: st.SearchStrategy            # what the writer is given
+    write: Callable[[str, object], str]  # (dir, value) -> path written
+    read: Callable[[str], object]        # dir -> decoded value or None
+    sample: object                       # a plain value for the sweep
+
+
+def _only(records):
+    """A one-record log's record; None when nothing survived."""
+    return records[0] if len(records) == 1 else records or None
+
+
+def _rejects(error, read):
+    def guarded(directory):
+        try:
+            return read(directory)
+        except error:
+            return None
+    return guarded
+
+
+# -- writers and readers -----------------------------------------------------
+def _store_write(directory, record):
+    store = ResultStore(directory)
+    store.append(record)
+    return store.path
+
+
+def _journal_write(directory, record):
+    journal = AdmissionJournal(directory)
+    journal.append(record["op"], **{key: value for key, value
+                                    in record.items() if key != "op"})
+    return journal.path
+
+
+def _lease_write(directory, lease):
+    path = LeaseManager(directory, "n")._path(lease.resource)
+    atomic_write(path, seal_record(lease.to_record()) + "\n")
+    return path
+
+
+def _cluster_write(directory, record):
+    """The writer every coordinator/lease/node file shares."""
+    path = os.path.join(directory, "record.json")
+    atomic_write(path, seal_record(record) + "\n")
+    return path
+
+
+def _cache_write(directory, payload):
+    return ResultCache(directory).store(JOB, payload)
+
+
+def _checkpoint_write(directory, value):
+    return save_checkpoint(os.path.join(directory, "x.ckpt"), *value)
+
+
+def _summary_write(directory, body):
+    return write_summary(os.path.join(directory, "s.summary.json"), body)
+
+
+# -- value strategies --------------------------------------------------------
+names = st.text(string.ascii_letters + string.digits + "-_.", min_size=1,
+                max_size=10)
+counts = st.integers(0, 10**6)
+tokens = st.integers(1, 2**40)
+times = st.floats(0, 4e9)
+scalars = (st.none() | st.booleans() | st.integers(-2**63, 2**63)
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.text(max_size=8))
+json_values = st.recursive(
+    scalars, lambda children: (st.lists(children, max_size=3)
+                               | st.dictionaries(st.text(max_size=6),
+                                                 children, max_size=3)),
+    max_leaves=8)
+objects = st.dictionaries(st.text(max_size=8), json_values, max_size=4) \
+    .filter(lambda record: CRC_FIELD not in record)
+
+
+def kind(label, **fields):
+    return st.fixed_dictionaries({"kind": st.just(label), **fields})
+
+
+store_records = st.fixed_dictionaries({
+    "job_id": names, "digest": st.text("0123456789abcdef", max_size=64),
+    "job": st.just(JOB.to_dict()),
+    "status": st.sampled_from(["ok", "quarantined"]),
+    "source": st.sampled_from(["executed", "cache", "resumed"]),
+    "attempts": counts, "wall_s": st.floats(0, 1e4), "payload": objects})
+journal_records = st.builds(
+    lambda op, fields: {**fields, "op": op}, names,
+    objects.filter(lambda fields: "self" not in fields))
+leases = st.builds(Lease, resource=st.just("batch-0000"), node=names,
+                   token=tokens, claimed_at=times, expires_at=times,
+                   renewals=counts)
+jobs = st.lists(st.just(JOB.to_dict()), max_size=2)
+checkpoints = st.tuples(
+    st.dictionaries(names, json_values | st.binary(max_size=8)
+                    | st.tuples(counts, counts), max_size=4),
+    st.dictionaries(names, counts, max_size=3))
+
+
+def _summary_sample():
+    summary = StreamingSummary(top_n=2)
+    summary.observe("job.execute", "X", 10.0, 2.5, "c0", None)
+    summary.observe("gap.recorded", "i", 20.0, 0.0, "c0", {"lost": 3})
+    return summary.to_dict()
+
+
+STORE_SAMPLE = {"job_id": "c0-1f2e3d4c5b", "status": "ok",
+                "attempts": 1, "wall_s": 0.25, "payload": {"ipc": 0.75}}
+
+FORMATS = {
+    "store-line": Format(
+        store_records, _store_write,
+        lambda d: _only(ResultStore(d).load()), STORE_SAMPLE),
+    "journal-line": Format(
+        journal_records, _journal_write,
+        lambda d: _only(AdmissionJournal(d).replay()),
+        {"op": "state", "campaign_id": "cmp-000001", "state": "running",
+         "attempts": 1}),
+    "lease": Format(
+        leases, _lease_write,
+        lambda d: LeaseManager(d, "n").read("batch-0000"),
+        Lease("batch-0000", "node-1", 7, 100.5, 110.5, 2)),
+    "cache-entry": Format(
+        objects, _cache_write, lambda d: ResultCache(d).lookup(JOB),
+        {"name": "c0", "profile": {"ipc": [0.5, 0.75]}}),
+    "checkpoint": Format(
+        checkpoints, _checkpoint_write,
+        _rejects(CheckpointError,
+                 lambda d: load_checkpoint(os.path.join(d, "x.ckpt"))),
+        ({"pc": 42, "regs": (1, 2), "mem": b"\x00\x01"}, {"cycle": 1000})),
+    "trace-summary": Format(
+        objects, _summary_write,
+        _rejects(TraceStoreError, lambda d: load_summary(
+            os.path.join(d, "s.summary.json"))),
+        _summary_sample()),
+}
+_read_cluster_file = _rejects(ClusterError, lambda d: _read_sealed(
+    os.path.join(d, "record.json"), "cluster file"))
+for _kind, _fields, _sample in (
+        ("fence", {"token": tokens}, {"token": 12}),
+        ("manifest", {"jobs": jobs, "batches": counts,
+                      "checkpoint_every": counts, "max_retries": counts,
+                      "fault_plan": st.none() | objects,
+                      "deadline_at": st.none() | times,
+                      "cache": st.booleans()},
+         {"jobs": [JOB.to_dict()], "batches": 1, "checkpoint_every": 500,
+          "max_retries": 2, "fault_plan": None, "deadline_at": None,
+          "cache": True}),
+        ("plan", {"batches": st.lists(names, max_size=4),
+                  "total_jobs": counts},
+         {"batches": ["batch-0000"], "total_jobs": 1}),
+        ("batch", {"name": names, "jobs": jobs},
+         {"name": "batch-0000", "jobs": [JOB.to_dict()]}),
+        ("done", {"batch": names, "node": names, "token": tokens},
+         {"batch": "batch-0000", "node": "node-1", "token": 3}),
+        ("final", {"node": names, "ok": counts, "quarantined": counts},
+         {"node": "node-1", "ok": 4, "quarantined": 0}),
+        ("node", {"node": names, "pid": counts, "ttl_s": times,
+                  "state": names, "updated_at": times, "jobs_done": counts,
+                  "batches_done": counts, "migrations": counts},
+         {"node": "node-1", "pid": 4242, "ttl_s": 5.0, "state": "working",
+          "updated_at": 1234.5, "jobs_done": 2, "batches_done": 1,
+          "migrations": 0})):
+    FORMATS[_kind] = Format(kind(_kind, **_fields), _cluster_write,
+                            _read_cluster_file, {"kind": _kind, **_sample})
+
+LOGS = {"store-line": lambda d: ResultStore(d).load(),
+        "journal-line": lambda d: AdmissionJournal(d).replay()}
+
+
+# -- helpers -----------------------------------------------------------------
+def _bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _overwrite(path, data):
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+def _flip(data, position, bit):
+    return data[:position] + bytes([data[position] ^ (1 << bit)]) \
+        + data[position + 1:]
+
+
+def _read(fmt, directory):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # damage warnings are expected
+        return fmt.read(directory)
+
+
+# -- the properties ----------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_record_round_trips(name, data):
+    fmt = FORMATS[name]
+    value = data.draw(fmt.values)
+    with tempfile.TemporaryDirectory() as directory:
+        fmt.write(directory, value)
+        assert _read(fmt, directory) == value
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_truncation_at_any_byte_is_rejected(name, data):
+    fmt = FORMATS[name]
+    value = data.draw(fmt.values)
+    with tempfile.TemporaryDirectory() as directory:
+        path = fmt.write(directory, value)
+        record = _bytes(path).rstrip(b"\n")
+        cut = data.draw(st.integers(0, len(record) - 1))
+        newline = data.draw(st.sampled_from([b"", b"\n"]))
+        _overwrite(path, record[:cut] + newline)
+        assert _read(fmt, directory) is None
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_single_bit_flip_is_rejected_or_value_preserving(name, data):
+    fmt = FORMATS[name]
+    value = data.draw(fmt.values)
+    with tempfile.TemporaryDirectory() as directory:
+        path = fmt.write(directory, value)
+        raw = _bytes(path)
+        flipped = _flip(raw, data.draw(st.integers(0, len(raw) - 1)),
+                        data.draw(st.integers(0, 7)))
+        _overwrite(path, flipped)
+        decoded = _read(fmt, directory)
+        if decoded is not None:
+            assert decoded == value
+            assert json.loads(flipped) == json.loads(raw)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_every_single_bit_flip_of_a_plain_record_is_rejected(name):
+    """Exhaustive: every bit of every byte, ``_crc32`` key included — a
+    record that lost its checksum key is damaged, never "legacy"."""
+    fmt = FORMATS[name]
+    with tempfile.TemporaryDirectory() as directory:
+        path = fmt.write(directory, fmt.sample)
+        raw = _bytes(path)
+        assert CRC_FIELD.encode() in raw
+        accepted = []
+        for position in range(len(raw)):
+            for bit in range(8):
+                _overwrite(path, _flip(raw, position, bit))
+                if _read(fmt, directory) is not None:
+                    accepted.append((position, bit))
+        assert accepted == []
+
+
+@pytest.mark.parametrize("name", sorted(LOGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_torn_final_line_is_skipped_and_the_prefix_survives(name, data):
+    fmt = FORMATS[name]
+    prefix = data.draw(st.lists(fmt.values, min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as directory:
+        for value in prefix:
+            path = fmt.write(directory, value)
+        intact = os.path.getsize(path)
+        fmt.write(directory, data.draw(fmt.values))
+        torn = os.path.getsize(path) - intact
+        os.truncate(path, intact + data.draw(st.integers(1, torn - 1)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert LOGS[name](directory) == prefix
+        assert any("torn" in str(w.message) for w in caught)

@@ -270,7 +270,7 @@ def test_store_tail_races_live_writer_across_flush_boundary(tmp_path):
     lands, and the read-only tailer never quarantines anything.
     """
     from repro.fleet import ResultStore
-    from repro.fleet.store import seal_record
+    from repro.durable import seal_record
     store = ResultStore(str(tmp_path))
     store.append({"job_id": "a"})
     line = seal_record({"job_id": "b", "payload": {"ipc": 0.75}}) + "\n"

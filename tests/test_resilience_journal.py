@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.fleet.store import seal_record, unseal_record
+from repro.durable import seal_record, unseal_record
 from repro.resilience import (AdmissionJournal, JournalState,
                               compaction_records, fold_journal)
 
