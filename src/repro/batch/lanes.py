@@ -6,9 +6,9 @@ measurement resolution (that is what :func:`group_key` groups by), each
 lane its own customer program.  Lanes advance together in fixed strides
 with a numpy activity mask: a finished lane drops out of the sweep, a
 quiescent lane fast-forwards inside its own kernel (the PR3 sleep-heap
-machinery), and the sweep loop is where group-level cooperative
-preemption and deadlines are honoured — the same contract the scalar
-worker implements at job boundaries.
+machinery), and the sweep loop is where the group honours
+``should_stop`` — the same contract the scalar worker implements at
+job and checkpoint boundaries.
 
 No lane carries the live measurement plane.  Each lane records its raw
 emission stream and the profile is reconstructed afterwards as array
@@ -18,7 +18,6 @@ math (:mod:`repro.batch.measure`), byte-identical to what a scalar
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 try:
@@ -29,7 +28,7 @@ except ImportError:          # pragma: no cover - guarded by require_numpy
 from ..core.profiling import spec as pspec
 from ..core.profiling.export import result_to_json  # noqa: F401  (tests)
 from ..core.profiling.session import ProfileResult
-from ..errors import CampaignPreempted, ConfigurationError, DeadlineExceeded
+from ..errors import CampaignStopped, ConfigurationError
 from ..faults import injector as _fi
 from ..obs import runtime as _obs
 from .measure import EmissionLog, reconstruct_result, watched_signals
@@ -145,16 +144,15 @@ class LaneSimulator:
             reg.get("repro_batch_sweep_cycles_total").inc(cycles)
         return int(np.count_nonzero(self.remaining))
 
-    def run(self, should_yield: Optional[Callable[[], bool]] = None,
-            deadline_at: Optional[float] = None) -> None:
-        """Sweep all lanes to completion, honouring preemption/deadlines."""
+    def run(self, should_stop: Optional[Callable[[], Optional[str]]] = None
+            ) -> None:
+        """Sweep all lanes to completion; a reason from ``should_stop``
+        at a sweep boundary raises :class:`~repro.errors.CampaignStopped`.
+        """
         while True:
-            if should_yield is not None and should_yield():
-                raise CampaignPreempted(
-                    "lane group preempted at a sweep boundary")
-            if deadline_at is not None and time.time() >= deadline_at:
-                raise DeadlineExceeded(
-                    "campaign deadline expired during a lane sweep")
+            reason = should_stop and should_stop()
+            if reason:
+                raise CampaignStopped(reason)
             if self.sweep() == 0:
                 return
 
@@ -229,10 +227,9 @@ def profile_payload(result: ProfileResult) -> Dict:
 
 
 def run_lane_group(jobs: Sequence[Dict],
-                   should_yield: Optional[Callable[[], bool]] = None,
-                   deadline_at: Optional[float] = None,
+                   should_stop: Optional[Callable[[], Optional[str]]] = None,
                    stride: int = STRIDE) -> List[Dict]:
     """Execute one compatible job group on lanes; payloads in job order."""
     lanes = LaneSimulator(jobs, stride=stride)
-    lanes.run(should_yield=should_yield, deadline_at=deadline_at)
+    lanes.run(should_stop)
     return lanes.payloads()

@@ -118,7 +118,7 @@ def submit(cluster_dir: str, jobs: List[CampaignJob],
         "checkpoint_every": int(checkpoint_every),
         "max_retries": int(max_retries),
         "fault_plan": fault_plan,
-        # absolute wall clock, like the orchestrator's deadline_at: it
+        # absolute wall clock, like the orchestrator's deadline stop: it
         # must mean the same thing on every node sharing the directory
         "deadline_at": (time.time() + float(deadline_s)
                         if deadline_s is not None else None),

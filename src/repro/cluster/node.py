@@ -31,14 +31,15 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..durable import atomic_write, file_lock, seal_record
-from ..errors import (CampaignPreempted, DeadlineExceeded, StaleLeaseError)
+from ..errors import CampaignStopped, StaleLeaseError
 from ..fleet.cache import ResultCache
 from ..fleet.spec import CampaignJob
-from ..fleet.store import ResultStore
-from ..fleet.worker import checkpoint_path, execute_job
+from ..fleet.store import ResultStore, job_record
+from ..fleet.worker import StopCheck, execute_job
 from ..obs import runtime as _obs
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.journal import AdmissionJournal
@@ -124,11 +125,29 @@ class ClusterNode:
             tel.emit(name, node=self.node_id, **fields)
 
     # -- stopping conditions -------------------------------------------------
-    def _should_stop(self) -> Optional[str]:
+    def _should_stop(self, holder: Optional[List[Lease]] = None
+                     ) -> Optional[str]:
+        """The node's ``should_stop``: ``"stopped"``, ``"deadline"``,
+        ``"fenced"`` or ``None``.
+
+        With ``holder`` (a one-element list with the batch lease) it is
+        also the heartbeat the fleet worker calls at every checkpoint
+        boundary, and the retry loop before every attempt: renew the
+        lease and beat.  A refused renewal means the batch migrated —
+        ``"fenced"`` at the point where the checkpoint just written is
+        exactly what the new holder resumes from.
+        """
         if stop_requested(self.cluster_dir):
             return NODE_STOPPED
         if self.deadline_at is not None and time.time() > self.deadline_at:
             return NODE_DEADLINE
+        if holder is None:
+            return None
+        renewed = self.leases.renew(holder[0])
+        if renewed is None:
+            return "fenced"
+        holder[0] = renewed
+        self._beat("working")
         return None
 
     # -- coordination --------------------------------------------------------
@@ -162,34 +181,14 @@ class ClusterNode:
                 if record.get("status") in ("ok", "quarantined")}
 
     # -- job execution -------------------------------------------------------
-    def _heartbeat_factory(self, holder: List[Lease]) -> Callable[[], bool]:
-        """The ``should_yield`` hook: renew the lease, yield if fenced.
-
-        Called by the fleet worker at every checkpoint boundary.  A
-        failed renewal means the batch migrated — yield immediately (the
-        checkpoint just written is exactly what the new holder resumes
-        from).  A STOP file or deadline also yields; the caller tells
-        the cases apart via :meth:`_should_stop` and lease state.
-        """
-        def heartbeat() -> bool:
-            if self._should_stop() is not None:
-                return True
-            renewed = self.leases.renew(holder[0])
-            if renewed is None:
-                return True
-            holder[0] = renewed
-            self._beat("working")
-            return False
-        return heartbeat
-
-    def _execute_with_retries(self, job_dict: Dict, holder: List[Lease],
-                              heartbeat: Callable[[], bool]) -> Dict:
+    def _execute_with_retries(self, job_dict: Dict,
+                              should_stop: StopCheck) -> Dict:
         """Run one job to a terminal record (ok / quarantined).
 
-        Raises :class:`CampaignPreempted` when the heartbeat yielded
-        (fenced or stopping) — the caller inspects which.  Retries stay
-        *inside* the lease: each attempt starts by renewing, so a retry
-        loop can never outlive the node's claim.
+        Raises :class:`~repro.errors.CampaignStopped` with the reason
+        when ``should_stop`` returns one.  Retries stay *inside* the
+        lease: each attempt starts by renewing, so a retry loop can never
+        outlive the node's claim.
         """
         job = CampaignJob.from_dict(job_dict)
         max_retries = int(self.manifest["max_retries"])
@@ -197,18 +196,16 @@ class ClusterNode:
         attempts = 0
         start = time.perf_counter()
         for attempt in range(max_retries + 1):
-            if heartbeat():
-                raise CampaignPreempted(
-                    f"node {self.node_id} yielded before attempt "
-                    f"{attempt} of job {job.job_id}")
+            reason = should_stop()
+            if reason:
+                raise CampaignStopped(reason)
             attempts = attempt + 1
             stats: Dict = {}
             try:
                 payload = execute_job(
                     job_dict, attempt, self.manifest.get("fault_plan"),
-                    self.checkpoint, stats, should_yield=heartbeat,
-                    deadline_at=self.deadline_at)
-            except (CampaignPreempted, DeadlineExceeded):
+                    self.checkpoint, stats, should_stop)
+            except CampaignStopped:
                 raise
             except Exception as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
@@ -220,18 +217,10 @@ class ClusterNode:
             if stats.get("resumed_from_cycle"):
                 self._emit("node.job.migrated", job_id=job.job_id,
                            resumed_from_cycle=stats["resumed_from_cycle"])
-            return {
-                "job_id": job.job_id, "digest": job.digest,
-                "job": job.to_dict(), "status": "ok", "source": "executed",
-                "attempts": attempts,
-                "wall_s": time.perf_counter() - start, "payload": payload,
-            }
-        return {
-            "job_id": job.job_id, "digest": job.digest,
-            "job": job.to_dict(), "status": "quarantined",
-            "source": "executed", "attempts": attempts,
-            "wall_s": time.perf_counter() - start, "error": last_error,
-        }
+            return job_record(job, "ok", "executed", attempts,
+                              time.perf_counter() - start, payload=payload)
+        return job_record(job, "quarantined", "executed", attempts,
+                          time.perf_counter() - start, error=last_error)
 
     def _commit(self, record: Dict, lease: Lease) -> None:
         """Fenced append: verify-the-lease-then-write, atomically."""
@@ -241,13 +230,14 @@ class ClusterNode:
         """Execute one claimed batch to completion; returns an outcome.
 
         Outcomes: ``"done"`` (marker written, lease released),
-        ``"fenced"`` (lost the lease — a peer migrated the batch away),
-        ``"stopped"``/``"deadline"`` (yielded at a safe boundary, lease
+        ``"fenced"`` (lost the lease — a peer migrated the batch away —
+        or handed it back with the breaker open),
+        ``"stopped"``/``"deadline"`` (stopped at a safe boundary, lease
         released so a peer — or a later restart — picks the batch up
         without waiting out the TTL).
         """
         holder = [lease]
-        heartbeat = self._heartbeat_factory(holder)
+        should_stop = partial(self._should_stop, holder)
         jobs = sorted(load_batch(self.cluster_dir, lease.resource),
                       key=lambda j: CampaignJob.from_dict(j).job_id)
         tel = _obs._active
@@ -255,8 +245,7 @@ class ClusterNode:
         # the resume scan shares the store lock with commits: a record
         # is either visible here or its writer will be fenced
         with file_lock(self.store.lock_path):
-            done_ids = {record["job_id"] for record in self.store.load()
-                        if record.get("status") in ("ok", "quarantined")}
+            done_ids = self._completed_ids()
         outcome = "done"
         for job_dict in jobs:
             job = CampaignJob.from_dict(job_dict)
@@ -267,33 +256,27 @@ class ClusterNode:
                 # quarantine jobs a healthy peer would complete
                 self._emit("node.breaker.open", batch=lease.resource,
                            retry_after_s=self.breaker.retry_after_s())
-                outcome = "stopped" if self._should_stop() else "fenced"
+                outcome = self._should_stop() or "fenced"
                 self.leases.release(holder[0])
                 break
             payload = None if self.cache is None else self.cache.lookup(job)
             if payload is not None:
-                record = {
-                    "job_id": job.job_id, "digest": job.digest,
-                    "job": job.to_dict(), "status": "ok",
-                    "source": "cache", "attempts": 0, "wall_s": 0.0,
-                    "payload": payload,
-                }
+                record = job_record(job, "ok", "cache", 0, 0.0,
+                                    payload=payload)
             else:
                 try:
-                    record = self._execute_with_retries(job_dict, holder,
-                                                        heartbeat)
-                except (CampaignPreempted, DeadlineExceeded):
-                    stop = self._should_stop()
-                    if stop is not None:
+                    record = self._execute_with_retries(job_dict,
+                                                        should_stop)
+                except CampaignStopped as stop:
+                    outcome = stop.reason
+                    if outcome == "fenced":
+                        self.fenced += 1
+                        self._emit("node.fenced", batch=lease.resource,
+                                   token=holder[0].token)
+                    else:
                         # release so a surviving peer need not wait out
                         # the TTL; the checkpoint stays for the resume
                         self.leases.release(holder[0])
-                        outcome = stop
-                        break
-                    self.fenced += 1
-                    self._emit("node.fenced", batch=lease.resource,
-                               token=holder[0].token)
-                    outcome = "fenced"
                     break
             try:
                 self._commit(record, holder[0])

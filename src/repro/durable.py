@@ -89,10 +89,22 @@ def atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
 
 
 def append_line(path: str, line: str) -> None:
-    """Durably append ``line`` plus a newline to ``path``."""
+    """Durably append ``line`` plus a newline to ``path``.
+
+    A file that does not end in a newline holds the torn tail of a writer
+    that died mid-append; it is terminated first, so the fragment reads
+    as one damaged line and this record as the next one.  Callers hold
+    the log's :func:`file_lock`, so no live append can be mistaken for
+    such a fragment.
+    """
     created = not os.path.exists(path)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
+    with open(path, "a+b") as handle:
+        data = (line + "\n").encode("utf-8")
+        if handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                data = b"\n" + data
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     if created:

@@ -81,19 +81,23 @@ class FaultInjected(ReproError, RuntimeError):
     retryable = True
 
 
-class CampaignPreempted(ReproError, RuntimeError):
-    """A cooperative yield request stopped a campaign at a safe boundary.
+class CampaignStopped(ReproError, RuntimeError):
+    """A ``should_stop`` callable stopped a campaign at a safe boundary.
 
-    Raised from inside a job when the orchestrator's ``should_yield``
-    callback fires at a checkpoint boundary (or between jobs).  Not a
-    failure: everything completed so far is already durable in the
-    campaign store, the in-flight job's checkpoint stays on disk, and a
-    later ``resume=True`` run continues byte-identically.  ``retryable``
-    because re-running the same spec (once the preemption pressure is
-    gone) always succeeds.
+    Raised from inside a job or lane group when ``should_stop()``
+    returns a reason at a checkpoint or sweep boundary.  ``reason`` is
+    that return value, kept as it is: ``"preempted"`` (evicted; the
+    in-flight job's checkpoint stays on disk and a ``resume=True`` run
+    continues byte-identically), ``"deadline"`` (the campaign's
+    wall-clock deadline passed: terminal for the submission), or, on a
+    cluster node, ``"stopped"`` (STOP file) and ``"fenced"`` (the batch
+    lease was lost).  Not a job failure: callers turn it into an outcome
+    status or node state, never a retry.
     """
 
-    retryable = True
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
 
 
 class QuotaExceeded(ReproError, RuntimeError):
@@ -126,17 +130,6 @@ class ServiceUnavailable(ReproError, RuntimeError):
     def __init__(self, message: str, retry_after_s: float = 1.0) -> None:
         super().__init__(message)
         self.retry_after_s = retry_after_s
-
-
-class DeadlineExceeded(ReproError, RuntimeError):
-    """A campaign outlived its client-supplied wall-clock deadline.
-
-    Deterministically terminal for the *submission* (``retryable=False``):
-    re-running the same stale request cannot un-expire it — the client
-    must submit afresh with a new deadline.  Queued work past its
-    deadline is expired instead of silently run; running work stops at
-    the next job or checkpoint boundary.
-    """
 
 
 class TraceStoreError(ReproError, RuntimeError):

@@ -197,9 +197,8 @@ def run_campaign(spec: SpecLike, **kwargs) -> CampaignReport:
     ``spec`` may be a :class:`CampaignSpec`, its dict form (exactly what
     ``POST /v1/campaigns`` accepts), or — the historical signature — a
     sequence of :class:`CampaignJob`.  ``kwargs`` are the
-    :class:`CampaignRunner` execution knobs (``workers``, ``cache_dir``,
-    ``campaign_dir``, ``max_retries``, ``backoff_s``, ``timeout_s``,
-    ``resume``, ``fault_plan``, ``checkpoint_every``, ``should_yield``).
+    :class:`CampaignRunner` execution knobs named in
+    :data:`RUNNER_KWARGS`.
     """
     unknown = sorted(set(kwargs) - set(RUNNER_KWARGS))
     if unknown:

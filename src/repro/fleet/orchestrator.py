@@ -26,6 +26,9 @@ Execution model
   store, the interrupted job's checkpoint on disk — and a later
   ``resume=True`` run finishes the campaign byte-identically.  This is
   how ``repro.serve`` evicts a low-priority campaign under load.
+  ``run()`` folds the callback and the ``deadline_s`` deadline into the
+  one ``should_stop() -> reason`` the workers consult (see
+  :mod:`repro.fleet.worker`); only the deadline half crosses the pool.
 
 Results are bit-identical regardless of worker count: every job builds
 its own seeded device, and the aggregate artifact is written sorted by
@@ -42,6 +45,7 @@ from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
     FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
@@ -51,8 +55,9 @@ from ..obs import runtime as _obs
 from .cache import ResultCache
 from .metrics import CampaignMetrics
 from .spec import CampaignJob, assign_shards
-from .store import ResultStore
-from .worker import run_batch_shard, run_shard
+from .store import ResultStore, job_record
+from .worker import (STOP_REASONS, StopCheck, deadline_stop,
+                     run_batch_shard, run_shard, shard_outcome)
 
 
 @dataclass
@@ -157,9 +162,9 @@ class CampaignRunner:
             raise ConfigurationError(
                 "deadline_s must be positive (or None for no deadline)")
         self.deadline_s = deadline_s
-        self._deadline_at: Optional[float] = None
-        self._preempted = False
-        self._deadline_hit = False
+        self._should_stop: Optional[StopCheck] = None
+        #: why this run stopped early (a worker stop reason), else None
+        self._stop_reason: Optional[str] = None
         # periodic mid-run checkpoints: a crashed/hung/killed attempt
         # resumes from its last intact checkpoint instead of cycle 0
         self.checkpoint: Optional[Dict] = None
@@ -194,10 +199,8 @@ class CampaignRunner:
     @staticmethod
     def _synthetic_failures(shard: Sequence[CampaignJob], attempt: int,
                             error: str) -> List[Dict]:
-        return [{
-            "job": job.to_dict(), "status": "error", "error": error,
-            "trace": error, "wall_s": 0.0, "attempt": attempt, "pid": None,
-        } for job in shard]
+        return [shard_outcome(job.to_dict(), "error", attempt, error=error,
+                              trace=error, pid=None) for job in shard]
 
     def _shard_timeout(self, shard: Sequence[CampaignJob]) -> Optional[float]:
         if self.timeout_s is None:
@@ -215,9 +218,11 @@ class CampaignRunner:
                       self.backoff_s * (2 ** (attempt - 1)))
         return self._backoff_rng.uniform(0.0, ceiling)
 
-    def _deadline_expired(self) -> bool:
-        return self._deadline_at is not None and \
-            time.time() > self._deadline_at
+    def _stopped(self) -> bool:
+        """Consult ``should_stop`` between rounds; True once stopped."""
+        if self._stop_reason is None and self._should_stop is not None:
+            self._stop_reason = self._should_stop()
+        return self._stop_reason is not None
 
     def _run_round(self, shards: List[List[CampaignJob]],
                    attempt: int) -> List[Dict]:
@@ -229,22 +234,22 @@ class CampaignRunner:
                 outcomes.extend(
                     shard_fn([job.to_dict() for job in shard], attempt,
                              self.fault_plan, self.checkpoint,
-                             self.should_yield,
-                             deadline_at=self._deadline_at))
-                # a preempted/expired outcome ends the round: later
-                # shards stay pending (resumable after a preemption,
-                # moot after a deadline)
-                if outcomes and outcomes[-1]["status"] in ("preempted",
-                                                           "deadline"):
+                             self._should_stop))
+                # a stopped outcome ends the round: later shards stay
+                # pending (resumable after a preemption, moot after a
+                # deadline)
+                if outcomes and outcomes[-1]["status"] in STOP_REASONS:
                     break
             return outcomes
 
         outcomes = []
         pool = self._ensure_pool()
+        # with workers >= 1 there is no yield callback, so _should_stop is
+        # at most the deadline partial, which pickles
         futures = [(pool.submit(shard_fn,
                                 [job.to_dict() for job in shard], attempt,
                                 self.fault_plan, self.checkpoint,
-                                deadline_at=self._deadline_at),
+                                self._should_stop),
                     shard) for shard in shards]
         abandon = False
         for future, shard in futures:
@@ -265,15 +270,6 @@ class CampaignRunner:
         return outcomes
 
     # -- record plumbing -----------------------------------------------------
-    @staticmethod
-    def _ok_record(job: CampaignJob, payload: Dict, source: str,
-                   attempts: int, wall_s: float) -> Dict:
-        return {
-            "job_id": job.job_id, "digest": job.digest,
-            "job": job.to_dict(), "status": "ok", "source": source,
-            "attempts": attempts, "wall_s": wall_s, "payload": payload,
-        }
-
     def _finish(self, job: CampaignJob, record: Dict,
                 records: Dict[str, Dict],
                 metrics: Optional[CampaignMetrics] = None) -> None:
@@ -325,13 +321,16 @@ class CampaignRunner:
     # -- the campaign --------------------------------------------------------
     def run(self) -> CampaignReport:
         start = time.perf_counter()
-        self._preempted = False
-        self._deadline_hit = False
-        # armed at run start, as absolute wall-clock time: a plain float
-        # crosses the pool's pickle boundary, and time.time() readings
-        # are comparable between orchestrator and worker processes
-        self._deadline_at = (time.time() + self.deadline_s
-                             if self.deadline_s is not None else None)
+        self._stop_reason = None
+        # the deadline is armed at run start, as absolute wall-clock time
+        # in a picklable partial; the yield callback (workers=0 only) is
+        # folded in front of it
+        deadline = None if self.deadline_s is None else partial(
+            deadline_stop, time.time() + self.deadline_s)
+        should_yield = self.should_yield
+        self._should_stop = deadline if should_yield is None else (
+            lambda: "preempted" if should_yield()
+            else (deadline and deadline()))
         tel = _obs._active
         campaign_t0 = tel.tracer.now_us() if tel is not None else 0.0
         if tel is not None:
@@ -354,9 +353,9 @@ class CampaignRunner:
         for record in prior:
             job = by_id[record["job_id"]]
             metrics.resumed += 1
-            self._finish(job, self._ok_record(
-                job, record["payload"], "resumed",
-                record.get("attempts", 1), 0.0), records, metrics)
+            self._finish(job, job_record(
+                job, "ok", "resumed", record.get("attempts", 1), 0.0,
+                payload=record["payload"]), records, metrics)
 
         # content-addressed cache: hits never reach the pool
         for job in self.jobs:
@@ -365,8 +364,9 @@ class CampaignRunner:
             payload = self.cache.lookup(job)
             if payload is not None:
                 metrics.cache_hits += 1
-                self._finish(job, self._ok_record(
-                    job, payload, "cache", 0, 0.0), records, metrics)
+                self._finish(job, job_record(job, "ok", "cache", 0, 0.0,
+                                             payload=payload),
+                             records, metrics)
 
         pending = [job for job in self.jobs if job.job_id not in records]
 
@@ -383,9 +383,9 @@ class CampaignRunner:
                     fatal[job_id] = failed.pop(job_id)
             return failed
 
-        if pending and self._deadline_expired():
-            # stale before a single job ran — never silently run it
-            self._deadline_hit = True
+        if pending and self._stopped():
+            # stale (or yielding) before a single job ran — never
+            # silently run it
             pending = []
         if pending:
             if self.backend == "batch":
@@ -407,11 +407,10 @@ class CampaignRunner:
 
         # retry rounds: failed jobs individually, one at a time
         for attempt in range(1, self.max_retries + 1):
-            if not failures or self._preempted or self._deadline_hit:
+            if not failures or self._stopped():
                 break
             time.sleep(self._backoff_delay(attempt))
-            if self._deadline_expired():
-                self._deadline_hit = True
+            if self._stopped():
                 break
             metrics.retries += len(failures)
             if tel is not None:
@@ -430,7 +429,7 @@ class CampaignRunner:
         # even failed ones) get a fresh start on the resumed run.  Under
         # a deadline nothing is quarantined either — the submission is
         # terminal, and "didn't finish in time" is not a job defect.
-        stopped_early = self._preempted or self._deadline_hit
+        stopped_early = self._stop_reason is not None
         leftovers = {} if stopped_early else dict(fatal)
         if not stopped_early:
             leftovers.update(failures)
@@ -441,14 +440,9 @@ class CampaignRunner:
             if tel is not None:
                 tel.instant("job.quarantined", cat="fleet",
                             job_id=job.job_id, error=outcome["error"])
-            self._finish(job, {
-                "job_id": job.job_id, "digest": job.digest,
-                "job": job.to_dict(), "status": "quarantined",
-                "source": "executed",
-                "attempts": outcome["attempt"] + 1,
-                "wall_s": outcome["wall_s"],
-                "error": outcome["error"],
-            }, records, metrics)
+            self._finish(job, job_record(
+                job, "quarantined", "executed", outcome["attempt"] + 1,
+                outcome["wall_s"], error=outcome["error"]), records, metrics)
 
         self._retire_pool()
         metrics.wall_s = time.perf_counter() - start
@@ -458,13 +452,14 @@ class CampaignRunner:
         # the run that finishes the campaign
         ordered = [records[job.job_id] for job in self.jobs
                    if job.job_id in records]
-        report = CampaignReport(records=ordered, metrics=metrics,
-                                preempted=self._preempted,
-                                deadline_exceeded=self._deadline_hit)
+        report = CampaignReport(
+            records=ordered, metrics=metrics,
+            preempted=self._stop_reason == "preempted",
+            deadline_exceeded=self._stop_reason == "deadline")
         if self.store is not None:
             self.store.rewrite(ordered)
             report.store_path = self.store.path
-            if not self._preempted and not self._deadline_hit:
+            if not stopped_early:
                 report.aggregate_path = self.store.write_aggregate(
                     report.ok_records, report.quarantined)
         if tel is not None:
@@ -512,26 +507,17 @@ class CampaignRunner:
             metrics.busy_s += outcome["wall_s"]
             if "checkpoint" in outcome:
                 metrics.note_checkpoint(outcome["checkpoint"])
-            if outcome["status"] == "preempted":
-                # not a failure: the job's partial progress is on disk as
-                # a checkpoint, and the whole campaign will be offered
-                # again (resume=True) once the preemption pressure clears
-                self._preempted = True
+            if outcome["status"] in STOP_REASONS:
+                # not a job failure.  "preempted": the partial progress
+                # is on disk as a checkpoint and the campaign is offered
+                # again (resume=True) once the pressure clears;
+                # "deadline": terminal for the submission, so the
+                # campaign stops here instead of running stale work
+                self._stop_reason = outcome["status"]
                 if tel is not None:
-                    tel.instant("job.preempted", cat="fleet",
-                                job_id=job.job_id)
-                    tel.emit("job.preempted", job_id=job.job_id,
-                             attempt=outcome["attempt"])
-                continue
-            if outcome["status"] == "deadline":
-                # terminal for the submission, not a job defect: the
-                # campaign stops at this safe boundary and reports
-                # deadline_exceeded instead of running stale work
-                self._deadline_hit = True
-                if tel is not None:
-                    tel.instant("job.deadline", cat="fleet",
-                                job_id=job.job_id)
-                    tel.emit("job.deadline", job_id=job.job_id,
+                    event = "job." + outcome["status"]   # job.deadline, ...
+                    tel.instant(event, cat="fleet", job_id=job.job_id)
+                    tel.emit(event, job_id=job.job_id,
                              attempt=outcome["attempt"])
                 continue
             if tel is not None and self.workers > 0:
@@ -546,9 +532,9 @@ class CampaignRunner:
                     outcome["payload"].get("sim_cycles", 0))
                 if self.cache is not None:
                     self.cache.store(job, outcome["payload"])
-                self._finish(job, self._ok_record(
-                    job, outcome["payload"], "executed",
-                    outcome["attempt"] + 1, outcome["wall_s"]), records,
+                self._finish(job, job_record(
+                    job, "ok", "executed", outcome["attempt"] + 1,
+                    outcome["wall_s"], payload=outcome["payload"]), records,
                     metrics)
             else:
                 carried = dict(outcome)

@@ -31,6 +31,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..durable import (append_line, atomic_write, canonical_json, file_lock,
                        seal_record, unseal_record)
+from .spec import CampaignJob
 
 STORE_NAME = "campaign.jsonl"
 AGGREGATE_NAME = "aggregate.json"
@@ -40,6 +41,16 @@ QUARANTINE_SUFFIX = ".quarantine"
 
 #: advisory inter-process lock guarding appends (and fenced commits)
 LOCK_SUFFIX = ".lock"
+
+
+def job_record(job: CampaignJob, status: str, source: str, attempts: int,
+               wall_s: float, **fields) -> Dict:
+    """One job's record line: ``status`` ``"ok"`` carries ``payload=``,
+    ``"quarantined"`` carries ``error=``; ``source`` is ``"executed"``,
+    ``"cache"`` or ``"resumed"``."""
+    return {"job_id": job.job_id, "digest": job.digest, "job": job.to_dict(),
+            "status": status, "source": source, "attempts": attempts,
+            "wall_s": wall_s, **fields}
 
 
 class ResultStore:
@@ -60,11 +71,13 @@ class ResultStore:
         The line is flushed and fsynced before returning, so a record the
         caller believes is stored survives an immediate process kill;
         the worst a crash can leave is one torn final line, which
-        :meth:`load` detects and skips.  The whole append holds the
-        store's inter-process lock (:func:`~repro.durable.file_lock` on
-        :attr:`lock_path`), so concurrent writer processes serialize
-        instead of interleaving; callers take the same lock to make a
-        read-then-append sequence atomic against other writers.
+        :meth:`load` skips and the next append terminates, so it reads
+        as one damaged line and no later record is lost.  The whole
+        append holds the store's inter-process lock
+        (:func:`~repro.durable.file_lock` on :attr:`lock_path`), so
+        concurrent writer processes serialize instead of interleaving;
+        callers take the same lock to make a read-then-append sequence
+        atomic against other writers.
 
         ``fence`` is the stale-claim guard for multi-node execution: a
         callable invoked *inside* the lock, before any byte is written.

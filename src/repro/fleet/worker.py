@@ -14,6 +14,11 @@ Faults raised by a job are caught *per job* and returned as structured
 error outcomes; one poisoned job never takes down its shard-mates.  (A
 worker process dying outright — the ``exit`` drill — is the orchestrator's
 problem; it shows up there as a broken pool.)
+
+Stopping early is one contract: a ``should_stop()`` callable, consulted
+before each job or lane group and at every checkpoint or sweep boundary,
+returns ``None`` to go on or a reason to stop.  The reason becomes the
+outcome status as it is, and the shard ends there.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import json
 import os
 import time
 import traceback
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional
 
 from ..checkpoint import (PREV_SUFFIX, CheckpointError,
@@ -29,8 +35,7 @@ from ..checkpoint import (PREV_SUFFIX, CheckpointError,
 from ..core.profiling.export import result_to_json
 from ..core.profiling.session import ProfilingSession
 from ..core.profiling import spec as pspec
-from ..errors import (CampaignPreempted, ConfigurationError,
-                      DeadlineExceeded, FaultInjected)
+from ..errors import CampaignStopped, ConfigurationError, FaultInjected
 from ..faults import (FaultInjector, FaultPlan, SimulationWatchdog,
                       active_injector, fault_point)
 from ..obs import bridge as _obs_bridge
@@ -53,6 +58,31 @@ CONFIGS = {
     "tc1797": tc1797_config,
     "tc1767": tc1767_config,
 }
+
+#: ``should_stop() -> reason``: ``None`` to go on
+StopCheck = Callable[[], Optional[str]]
+
+#: the reasons a campaign runner's ``should_stop`` returns; an outcome
+#: with one of them as its status ends its shard
+STOP_REASONS = ("preempted", "deadline")
+
+
+def deadline_stop(deadline: float) -> Optional[str]:
+    """``should_stop`` for an absolute ``time.time()`` deadline.
+
+    Module-level, so ``functools.partial(deadline_stop, deadline)``
+    pickles to pool workers; ``time.time()`` readings compare across
+    processes.
+    """
+    return "deadline" if time.time() > deadline else None
+
+
+def shard_outcome(job: Dict, status: str, attempt: int, wall_s: float = 0.0,
+                  **fields) -> Dict:
+    """One job's outcome dict; ``pid`` is read here, in the process that
+    ran the job."""
+    return {"job": job, "status": status, "wall_s": wall_s,
+            "attempt": attempt, "pid": os.getpid(), **fields}
 
 
 class JobFault(FaultInjected):
@@ -132,8 +162,7 @@ def _try_restore(device, job: Dict, path: str) -> int:
 
 def _run_checkpointed(job: Dict, device, checkpoint: Dict,
                       stats: Dict, attempt: int = 0,
-                      should_yield: Optional[Callable[[], bool]] = None,
-                      deadline_at: Optional[float] = None) -> None:
+                      should_stop: Optional[StopCheck] = None) -> None:
     """Run the job's cycle budget in checkpoint-sized chunks.
 
     After every full chunk an atomic checkpoint (simulator state plus
@@ -143,17 +172,12 @@ def _run_checkpointed(job: Dict, device, checkpoint: Dict,
     recovered from.  A retry finds the file and resumes mid-run — the
     retry budget is measured in lost cycles, not lost jobs.
 
-    ``should_yield`` is the cooperative-preemption hook: it is consulted
-    right after each checkpoint lands on disk, the one point where
-    stopping loses nothing — raising :class:`CampaignPreempted` here
-    leaves the checkpoint in place (completion is what discards it), so
-    a later resume continues from this exact cycle byte-identically.
-
-    ``deadline_at`` (absolute ``time.time()``) is the campaign's
-    wall-clock watchdog at the same granularity: checked at every
-    checkpoint boundary, raising :class:`DeadlineExceeded` instead of
-    letting a stale job keep simulating.  The checkpoint cadence bounds
-    how far past the deadline a job can overshoot.
+    ``should_stop`` is consulted right after each checkpoint lands on
+    disk, the one point where stopping loses nothing: a returned reason
+    raises :class:`~repro.errors.CampaignStopped` and leaves the
+    checkpoint in place (completion is what discards it), so a later
+    resume continues from this exact cycle byte-identically.  The
+    checkpoint cadence bounds how far past a deadline a job overshoots.
     """
     every = int(checkpoint["every"])
     if every < 1:
@@ -182,100 +206,78 @@ def _run_checkpointed(job: Dict, device, checkpoint: Dict,
             raise FaultInjected(
                 f"injected worker crash after checkpoint at cycle "
                 f"{device.cycle} in job {job['name']!r}")
-        if should_yield is not None and should_yield():
-            raise CampaignPreempted(
-                f"preempted at checkpoint boundary: cycle {device.cycle} "
-                f"of {target} in job {job['name']!r}")
-        if deadline_at is not None and time.time() > deadline_at:
-            raise DeadlineExceeded(
-                f"campaign deadline passed at checkpoint boundary: cycle "
-                f"{device.cycle} of {target} in job {job['name']!r}")
+        reason = should_stop and should_stop()
+        if reason:
+            raise CampaignStopped(reason)
     _discard_checkpoints(path)
 
 
 def _execute(job: Dict, watchdog_spec: Optional[Dict] = None,
              checkpoint: Optional[Dict] = None,
              stats: Optional[Dict] = None, attempt: int = 0,
-             should_yield: Optional[Callable[[], bool]] = None,
-             deadline_at: Optional[float] = None) -> Dict:
+             should_stop: Optional[StopCheck] = None) -> Dict:
     """Build the device, run the session, serialise the payload."""
     tel = _obs._active
-    if tel is not None:
-        # only reached with in-process execution (workers=0) or inside a
-        # worker that installed its own telemetry; pool workers inherit
-        # nothing and skip straight to the bare path
-        with tel.span("job.execute", cat="fleet", job=job["name"],
-                      domain=job["domain"], device=job["device"]):
-            return _execute_bare(job, watchdog_spec, checkpoint, stats,
-                                 attempt, should_yield, deadline_at)
-    return _execute_bare(job, watchdog_spec, checkpoint, stats, attempt,
-                         should_yield, deadline_at)
-
-
-def _execute_bare(job: Dict, watchdog_spec: Optional[Dict] = None,
-                  checkpoint: Optional[Dict] = None,
-                  stats: Optional[Dict] = None,
-                  attempt: int = 0,
-                  should_yield: Optional[Callable[[], bool]] = None,
-                  deadline_at: Optional[float] = None) -> Dict:
-    try:
-        scenario = SCENARIOS[job["domain"]]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown workload domain {job['domain']!r}")
-    try:
-        config = CONFIGS[job["device"]]()
-    except KeyError:
-        raise ConfigurationError(f"unknown device config {job['device']!r}")
-    device = scenario.build(config, dict(job["params"]), seed=job["seed"])
-    session = ProfilingSession(
-        device, pspec.engine_parameter_set(
-            ipc_resolution=job["ipc_resolution"],
-            rate_per=job["rate_per"]))
-    if checkpoint:
-        # the roster must be final before a restore can be attempted, and
-        # the watchdog must be guarded *around* the restore so a resumed
-        # roster matches the one the checkpoint captured
-        device.soc._ensure_order()
-        if stats is None:
-            stats = {}
-        if watchdog_spec:
-            with SimulationWatchdog(**watchdog_spec).guard(device):
-                _run_checkpointed(job, device, checkpoint, stats, attempt,
-                                  should_yield, deadline_at)
-        else:
-            _run_checkpointed(job, device, checkpoint, stats, attempt,
-                              should_yield, deadline_at)
+    # a live span only with in-process execution (workers=0) or inside a
+    # worker that installed its own telemetry; pool workers inherit none
+    span = nullcontext() if tel is None else tel.span(
+        "job.execute", cat="fleet", job=job["name"], domain=job["domain"],
+        device=job["device"])
+    with span:
+        try:
+            scenario = SCENARIOS[job["domain"]]()
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown workload domain {job['domain']!r}")
+        try:
+            config = CONFIGS[job["device"]]()
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown device config {job['device']!r}")
+        device = scenario.build(config, dict(job["params"]),
+                                seed=job["seed"])
+        session = ProfilingSession(
+            device, pspec.engine_parameter_set(
+                ipc_resolution=job["ipc_resolution"],
+                rate_per=job["rate_per"]))
+        if checkpoint:
+            # the roster must be final before a restore can be attempted,
+            # and the watchdog must be guarded *around* the restore so a
+            # resumed roster matches the one the checkpoint captured
+            device.soc._ensure_order()
+        guard = SimulationWatchdog(**watchdog_spec).guard(device) \
+            if watchdog_spec else nullcontext()
+        with guard:
+            if checkpoint:
+                _run_checkpointed(job, device, checkpoint,
+                                  {} if stats is None else stats, attempt,
+                                  should_stop)
+            else:
+                device.run(job["cycles"])
         result = session.result()
-    elif watchdog_spec:
-        with SimulationWatchdog(**watchdog_spec).guard(device):
-            result = session.run(job["cycles"])
-    else:
-        result = session.run(job["cycles"])
-    tel = _obs._active
-    if tel is not None:
-        # snapshot device-level stats into the registry while the device
-        # still exists; metrics only, so payload bytes are unaffected
-        _obs_bridge.record_device_stats(tel.registry, device)
-    return {
-        "name": job["name"],
-        "domain": job["domain"],
-        "device": job["device"],
-        "cycles": job["cycles"],
-        # cycles actually simulated (deterministic, unlike wall time, so it
-        # may live in the payload); campaign metrics divide the sum by
-        # in-worker busy time for fleet-wide simulation throughput
-        "sim_cycles": device.soc.sim.cycle,
-        "profile": json.loads(result_to_json(result, compact=True)),
-    }
+        if tel is not None:
+            # snapshot device-level stats into the registry while the
+            # device still exists; metrics only, so payload bytes are
+            # unaffected
+            _obs_bridge.record_device_stats(tel.registry, device)
+        return {
+            "name": job["name"],
+            "domain": job["domain"],
+            "device": job["device"],
+            "cycles": job["cycles"],
+            # cycles actually simulated (deterministic, unlike wall time,
+            # so it may live in the payload); campaign metrics divide the
+            # sum by in-worker busy time for fleet-wide throughput
+            "sim_cycles": device.soc.sim.cycle,
+            "profile": json.loads(result_to_json(result, compact=True)),
+        }
 
 
 def execute_job(job: Dict, attempt: int = 0,
                 fault_plan: Optional[Dict] = None,
                 checkpoint: Optional[Dict] = None,
                 stats: Optional[Dict] = None,
-                should_yield: Optional[Callable[[], bool]] = None,
-                deadline_at: Optional[float] = None) -> Dict:
+                should_stop: Optional[StopCheck] = None) -> Dict:
     """Run one campaign job spec (a ``CampaignJob.to_dict()`` dict).
 
     Returns the deterministic result payload: the parsed canonical-JSON
@@ -292,22 +294,14 @@ def execute_job(job: Dict, attempt: int = 0,
     non-deterministic checkpoint accounting — resumed cycle, save count —
     which must stay *out* of the payload to preserve its byte-identity.
 
-    ``should_yield`` (in-process callers only — a callback cannot cross
-    the pool's pickle boundary) requests cooperative preemption: checked
-    at every checkpoint boundary, raising
-    :class:`~repro.errors.CampaignPreempted` with the job's checkpoint
-    left on disk for a byte-identical resume.
-
-    ``deadline_at`` (absolute ``time.time()``, a plain float so it *does*
-    cross the pickle boundary) is the campaign wall-clock deadline:
-    checked at every checkpoint boundary, raising
-    :class:`~repro.errors.DeadlineExceeded`.
+    ``should_stop`` is checked at every checkpoint boundary; a returned
+    reason raises :class:`~repro.errors.CampaignStopped` with the job's
+    checkpoint left on disk for a byte-identical resume.
     """
     _apply_fault(job.get("fault"), attempt)
     if fault_plan is None:
         return _execute(job, checkpoint=checkpoint, stats=stats,
-                        attempt=attempt, should_yield=should_yield,
-                        deadline_at=deadline_at)
+                        attempt=attempt, should_stop=should_stop)
     plan = fault_plan if isinstance(fault_plan, FaultPlan) \
         else FaultPlan.from_dict(fault_plan)
     with FaultInjector(plan, scope=job["name"]):
@@ -322,19 +316,18 @@ def execute_job(job: Dict, attempt: int = 0,
         if action is not None:
             time.sleep(float(action.params.get("seconds", 0.05)))
         return _execute(job, plan.watchdog, checkpoint, stats, attempt,
-                        should_yield, deadline_at)
+                        should_stop)
 
 
 def run_shard(jobs: List[Dict], attempt: int = 0,
               fault_plan: Optional[Dict] = None,
               checkpoint: Optional[Dict] = None,
-              should_yield: Optional[Callable[[], bool]] = None,
-              deadline_at: Optional[float] = None) -> List[Dict]:
+              should_stop: Optional[StopCheck] = None) -> List[Dict]:
     """Execute a shard of job specs, isolating failures per job.
 
     Returns one outcome dict per job, in shard order::
 
-        {"job": <spec>, "status": "ok"|"error"|"preempted",
+        {"job": <spec>, "status": "ok"|"error"|<stop reason>,
          "payload"|"error": ...,
          "retryable": bool, "wall_s": float, "attempt": int, "pid": int,
          "checkpoint": {...}}                # only when checkpointing
@@ -345,94 +338,43 @@ def run_shard(jobs: List[Dict], attempt: int = 0,
     retry, while transient injected faults and unknown exceptions keep the
     default retry/backoff treatment.
 
-    ``should_yield`` (in-process callers only) turns on cooperative
-    preemption: consulted before each job and — via the checkpoint loop —
-    at every checkpoint boundary.  A fired yield ends the shard early
-    with a single ``"preempted"`` outcome for the interrupted job;
-    outcomes for jobs that already completed are returned normally, so
-    nothing finished is lost.
-
-    ``deadline_at`` is the campaign wall-clock deadline (absolute
-    ``time.time()``; pool-safe): checked before each job and at every
-    checkpoint boundary.  An expired deadline ends the shard with a
-    single ``"deadline"`` outcome — completed jobs are still returned,
-    but the campaign is terminal (``deadline_exceeded``), never resumed.
+    ``should_stop`` is consulted before each job and — via the
+    checkpoint loop — at every checkpoint boundary.  A returned reason
+    ends the shard with a single outcome for the interrupted job whose
+    status is that reason (``"preempted"``, ``"deadline"``); outcomes for
+    jobs that already completed are returned normally, so nothing
+    finished is lost.
     """
     outcomes: List[Dict] = []
     for job in jobs:
-        if should_yield is not None and should_yield():
-            outcomes.append({
-                "job": job, "status": "preempted", "wall_s": 0.0,
-                "attempt": attempt, "pid": os.getpid(),
-            })
-            break
-        if deadline_at is not None and time.time() > deadline_at:
-            outcomes.append({
-                "job": job, "status": "deadline", "wall_s": 0.0,
-                "attempt": attempt, "pid": os.getpid(),
-            })
+        reason = should_stop and should_stop()
+        if reason:
+            outcomes.append(shard_outcome(job, reason, attempt))
             break
         start = time.perf_counter()
         stats: Dict = {}
+        fields: Dict = {}
         try:
-            payload = execute_job(job, attempt, fault_plan, checkpoint,
-                                  stats, should_yield, deadline_at)
-            outcome = {
-                "job": job,
-                "status": "ok",
-                "payload": payload,
-                "wall_s": time.perf_counter() - start,
-                "attempt": attempt,
-                "pid": os.getpid(),
-            }
-        except CampaignPreempted:
-            outcome = {
-                "job": job,
-                "status": "preempted",
-                "wall_s": time.perf_counter() - start,
-                "attempt": attempt,
-                "pid": os.getpid(),
-            }
-            if checkpoint:
-                outcome["checkpoint"] = stats
-            outcomes.append(outcome)
-            break
-        except DeadlineExceeded:
-            outcome = {
-                "job": job,
-                "status": "deadline",
-                "wall_s": time.perf_counter() - start,
-                "attempt": attempt,
-                "pid": os.getpid(),
-            }
-            if checkpoint:
-                outcome["checkpoint"] = stats
-            outcomes.append(outcome)
-            break
+            fields["payload"] = execute_job(job, attempt, fault_plan,
+                                            checkpoint, stats, should_stop)
+            status = "ok"
+        except CampaignStopped as stop:
+            status = reason = stop.reason
         except Exception as exc:
-            outcome = {
-                "job": job,
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "trace": traceback.format_exc(),
-                "retryable": bool(getattr(exc, "retryable", True)),
-                "wall_s": time.perf_counter() - start,
-                "attempt": attempt,
-                "pid": os.getpid(),
-            }
+            status = "error"
+            fields.update(error=f"{type(exc).__name__}: {exc}",
+                          trace=traceback.format_exc(),
+                          retryable=bool(getattr(exc, "retryable", True)))
         if checkpoint:
             # accounting lives in the outcome, never the payload: a
             # resumed payload must stay byte-identical to an
             # uninterrupted one
-            outcome["checkpoint"] = stats
-        outcomes.append(outcome)
+            fields["checkpoint"] = stats
+        outcomes.append(shard_outcome(job, status, attempt,
+                                      time.perf_counter() - start, **fields))
+        if reason:
+            break
     return outcomes
-
-
-def _stop_outcome(job: Dict, status: str, wall_s: float,
-                  attempt: int) -> Dict:
-    return {"job": job, "status": status, "wall_s": wall_s,
-            "attempt": attempt, "pid": os.getpid()}
 
 
 def _note_batch_group(tel, group: List[Dict], wall_s: float) -> None:
@@ -466,8 +408,7 @@ def _note_batch_fallback(tel, reason: str) -> None:
 def run_batch_shard(jobs: List[Dict], attempt: int = 0,
                     fault_plan: Optional[Dict] = None,
                     checkpoint: Optional[Dict] = None,
-                    should_yield: Optional[Callable[[], bool]] = None,
-                    deadline_at: Optional[float] = None) -> List[Dict]:
+                    should_stop: Optional[StopCheck] = None) -> List[Dict]:
     """:func:`run_shard` on the batch-lane backend.
 
     Jobs are grouped by :func:`repro.batch.group_key` (same SoC config,
@@ -491,8 +432,7 @@ def run_batch_shard(jobs: List[Dict], attempt: int = 0,
     enters payloads, so the split only feeds busy-time metrics).
     """
     if fault_plan is not None or checkpoint is not None:
-        return run_shard(jobs, attempt, fault_plan, checkpoint,
-                         should_yield, deadline_at)
+        return run_shard(jobs, attempt, fault_plan, checkpoint, should_stop)
     from ..batch import (BatchUnsupported, group_key, require_numpy,
                          run_lane_group)
     require_numpy()
@@ -502,53 +442,29 @@ def run_batch_shard(jobs: List[Dict], attempt: int = 0,
 
     outcomes: List[Dict] = []
     for group in groups.values():       # first-seen job order
-        if should_yield is not None and should_yield():
-            outcomes.append(_stop_outcome(group[0], "preempted", 0.0,
-                                          attempt))
-            break
-        if deadline_at is not None and time.time() > deadline_at:
-            outcomes.append(_stop_outcome(group[0], "deadline", 0.0,
-                                          attempt))
+        reason = should_stop and should_stop()
+        if reason:
+            outcomes.append(shard_outcome(group[0], reason, attempt))
             break
         start = time.perf_counter()
         try:
-            payloads = run_lane_group(group, should_yield=should_yield,
-                                      deadline_at=deadline_at)
-        except CampaignPreempted:
-            outcomes.append(_stop_outcome(
-                group[0], "preempted", time.perf_counter() - start,
-                attempt))
+            payloads = run_lane_group(group, should_stop)
+        except CampaignStopped as stop:
+            outcomes.append(shard_outcome(group[0], stop.reason, attempt,
+                                          time.perf_counter() - start))
             break
-        except DeadlineExceeded:
-            outcomes.append(_stop_outcome(
-                group[0], "deadline", time.perf_counter() - start,
-                attempt))
-            break
-        except BatchUnsupported:
-            # the lanes refused the group up front — nothing ran; the
-            # scalar path models whatever they could not
-            tel = _obs._active
-            if tel is not None:
-                _note_batch_fallback(tel, "unsupported")
-            outcomes.extend(run_shard(group, attempt, fault_plan,
-                                      checkpoint, should_yield,
-                                      deadline_at))
-            if outcomes and outcomes[-1]["status"] in ("preempted",
-                                                       "deadline"):
-                break
-            continue
-        except Exception:
-            # a group failing mid-sweep re-runs scalar per job: the
-            # offending job gets its structured error outcome and its
+        except Exception as exc:
+            # the lanes refused the group up front (nothing ran) or it
+            # failed mid-sweep: either way it re-runs scalar per job, so
+            # an offending job gets its structured error outcome and its
             # group-mates still complete
             tel = _obs._active
             if tel is not None:
-                _note_batch_fallback(tel, "error")
-            outcomes.extend(run_shard(group, attempt, fault_plan,
-                                      checkpoint, should_yield,
-                                      deadline_at))
-            if outcomes and outcomes[-1]["status"] in ("preempted",
-                                                       "deadline"):
+                _note_batch_fallback(tel, "unsupported" if isinstance(
+                    exc, BatchUnsupported) else "error")
+            outcomes.extend(run_shard(group, attempt,
+                                      should_stop=should_stop))
+            if outcomes[-1]["status"] in STOP_REASONS:
                 break
             continue
         group_wall = time.perf_counter() - start
@@ -556,13 +472,7 @@ def run_batch_shard(jobs: List[Dict], attempt: int = 0,
         if tel is not None:
             _note_batch_group(tel, group, group_wall)
         wall = group_wall / len(group)
-        for job, payload in zip(group, payloads):
-            outcomes.append({
-                "job": job,
-                "status": "ok",
-                "payload": payload,
-                "wall_s": wall,
-                "attempt": attempt,
-                "pid": os.getpid(),
-            })
+        outcomes.extend(shard_outcome(job, "ok", attempt, wall,
+                                      payload=payload)
+                        for job, payload in zip(group, payloads))
     return outcomes

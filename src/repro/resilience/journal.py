@@ -36,10 +36,14 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..durable import (append_line, atomic_write, seal_record,
+from ..durable import (append_line, atomic_write, file_lock, seal_record,
                        unseal_record)
 
 JOURNAL_NAME = "journal.jsonl"
+
+#: advisory inter-process lock guarding appends (several cluster nodes
+#: append to one journal)
+LOCK_SUFFIX = ".lock"
 
 #: campaign id shape the sequence watermark is recovered from
 _CAMPAIGN_ID = re.compile(r"^cmp-(\d+)$")
@@ -58,12 +62,14 @@ class AdmissionJournal:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, name)
+        self.lock_path = self.path + LOCK_SUFFIX
 
     def append(self, op: str, **fields) -> Dict:
         """Durably append one journal record; returns the record."""
         record = {"op": op}
         record.update(fields)
-        append_line(self.path, seal_record(record))
+        with file_lock(self.lock_path):
+            append_line(self.path, seal_record(record))
         return record
 
     def admit(self, campaign_id: str, tenant: str, priority: int,

@@ -127,7 +127,7 @@ def test_run_batch_shard_matches_scalar_outcomes():
 @needs_numpy
 def test_run_batch_shard_preempts_at_group_boundary():
     outcomes = run_batch_shard([job("a"), job("b")],
-                               should_yield=lambda: True)
+                               should_stop=lambda: "preempted")
     assert [o["status"] for o in outcomes] == ["preempted"]
 
 

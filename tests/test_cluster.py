@@ -19,7 +19,7 @@ import textwrap
 import pytest
 
 from repro.cluster import (ClusterNode, cluster_status, dedupe_records,
-                           run_clustered, submit)
+                           request_stop, run_clustered, submit)
 from repro.cluster.coordinator import load_batch, load_manifest, publish_plan
 from repro.durable import file_lock, unseal_record
 from repro.errors import ConfigurationError
@@ -300,6 +300,57 @@ def test_second_node_resumes_a_half_finished_campaign(tmp_path):
     assert second.jobs_done == 4 - done_before
     status = cluster_status(cdir)
     assert status["final"] and status["records"]["ok"] == 4
+
+
+class _OpenBreaker:
+    """A circuit breaker that refuses every job."""
+
+    def allow(self):
+        return False
+
+    def retry_after_s(self):
+        return 1.0
+
+
+def _claimed_batch(tmp_path, deadline_s=None, breaker=None):
+    """A node holding the lease on a 2-job, 1-batch campaign."""
+    cdir = str(tmp_path)
+    submit(cdir, make_jobs(2), batches=1, checkpoint_every=EVERY,
+           deadline_s=deadline_s)
+    node = ClusterNode(cdir, node_id="n1", breaker=breaker)
+    lease = node.leases.claim(node._ensure_plan()["batches"][0])
+    return node, lease
+
+
+def test_run_batch_stop_file_reports_stopped_and_releases(tmp_path):
+    node, lease = _claimed_batch(tmp_path)
+    request_stop(str(tmp_path))
+    assert node._run_batch(lease) == "stopped"
+    assert node.leases.read(lease.resource) is None
+    assert node.jobs_done == 0 and node.fenced == 0
+
+
+def test_run_batch_passed_deadline_reports_deadline(tmp_path):
+    node, lease = _claimed_batch(tmp_path, deadline_s=1e-6)
+    assert node._run_batch(lease) == "deadline"
+    assert node.leases.read(lease.resource) is None
+
+
+def test_run_batch_refused_renewal_reports_fenced(tmp_path, monkeypatch):
+    node, lease = _claimed_batch(tmp_path)
+    monkeypatch.setattr(node.leases, "renew", lambda held: None)
+    assert node._run_batch(lease) == "fenced"
+    assert node.fenced == 1
+    assert node.jobs_done == 0
+
+
+def test_run_batch_open_breaker_reports_the_real_stop_reason(tmp_path):
+    """With the breaker open the node hands the batch back; a passed
+    deadline must still read as ``"deadline"``, not ``"stopped"``."""
+    node, lease = _claimed_batch(tmp_path, deadline_s=1e-6,
+                                 breaker=_OpenBreaker())
+    assert node._run_batch(lease) == "deadline"
+    assert node.leases.read(lease.resource) is None
 
 
 def test_cluster_status_shapes(tmp_path):

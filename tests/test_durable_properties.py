@@ -16,7 +16,8 @@ through each format's real writer and real reader:
   double); the exhaustive sweep over a plain record shows none is
   accepted at all — a damaged ``_crc32`` key included;
 * a torn final line of a line log is skipped and the prefix before it
-  survives.
+  survives, and an append after it loses neither the prefix nor the
+  appended record.
 
 "Rejected" means the reader's own policy: the store quarantines, the
 journal skips, a lease reads as absent, the cache misses, and the
@@ -322,3 +323,28 @@ def test_torn_final_line_is_skipped_and_the_prefix_survives(name, data):
             warnings.simplefilter("always")
             assert LOGS[name](directory) == prefix
         assert any("torn" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("name", sorted(LOGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_append_after_a_torn_final_line_loses_nothing(name, data):
+    """The writer died mid-append; the next append through the real
+    writer terminates the fragment instead of joining it."""
+    fmt = FORMATS[name]
+    prefix = data.draw(st.lists(fmt.values, min_size=1, max_size=4))
+    torn_value, new_value = data.draw(fmt.values), data.draw(fmt.values)
+    with tempfile.TemporaryDirectory() as directory:
+        for value in prefix:
+            path = fmt.write(directory, value)
+        intact = os.path.getsize(path)
+        fmt.write(directory, torn_value)
+        torn = os.path.getsize(path) - intact
+        cut = data.draw(st.integers(1, torn - 1))
+        os.truncate(path, intact + cut)
+        fmt.write(directory, new_value)
+        # cut just before its newline, the fragment is a whole record
+        whole = [torn_value] if cut == torn - 1 else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")    # the fragment is damage
+            assert LOGS[name](directory) == prefix + whole + [new_value]

@@ -1,13 +1,14 @@
 """Deadline propagation (spec → orchestrator → worker) + jitter backoff."""
 
 import time
+from functools import partial
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet import CampaignSpec, run_campaign
 from repro.fleet.orchestrator import CampaignRunner
-from repro.fleet.worker import run_shard
+from repro.fleet.worker import deadline_stop, run_shard
 
 SPEC = {"count": 2, "cycles": 8_000, "seed": 9}
 
@@ -57,13 +58,16 @@ def test_deadline_carried_by_the_spec_itself(tmp_path):
     assert report.deadline_exceeded and report.records == []
 
 
-def test_mid_campaign_expiry_keeps_finished_prefix(tmp_path):
-    """Expiry at a job boundary: done jobs stay, the rest never run."""
+@pytest.mark.parametrize("workers", [0, 2])
+def test_mid_campaign_expiry_keeps_finished_prefix(tmp_path, workers):
+    """Expiry at a job boundary: done jobs stay, the rest never run.
+
+    With ``workers=2`` the deadline stop is pickled to pool workers."""
     # cycles sized so one job comfortably outlives the deadline even as
     # the kernel gets faster — expiry must hit a mid-campaign boundary
     spec = CampaignSpec(count=4, cycles=250_000, seed=9)
     t0 = time.time()
-    report = run_campaign(spec, workers=0, campaign_dir=str(tmp_path),
+    report = run_campaign(spec, workers=workers, campaign_dir=str(tmp_path),
                           deadline_s=0.7)
     wall = time.time() - t0
     assert report.deadline_exceeded
@@ -86,7 +90,8 @@ def test_no_deadline_still_completes(tmp_path):
 
 def test_run_shard_expires_at_job_boundary():
     jobs = [job.to_dict() for job in jobs_of(SPEC)]
-    outcomes = run_shard(jobs, deadline_at=time.time() - 1.0)
+    outcomes = run_shard(
+        jobs, should_stop=partial(deadline_stop, time.time() - 1.0))
     assert len(outcomes) == 1                 # first boundary check fires
     assert outcomes[0]["status"] == "deadline"
 
@@ -98,8 +103,9 @@ def test_run_shard_expires_at_checkpoint_boundary(tmp_path):
         {"count": 1, "cycles": 200_000, "seed": 9})]
     checkpoint = {"dir": str(tmp_path), "every": 2_000}
     t0 = time.time()
-    outcomes = run_shard(jobs, checkpoint=checkpoint,
-                         deadline_at=time.time() + 0.2)
+    outcomes = run_shard(
+        jobs, checkpoint=checkpoint,
+        should_stop=partial(deadline_stop, time.time() + 0.2))
     wall = time.time() - t0
     assert outcomes[-1]["status"] == "deadline"
     assert wall < 10.0                        # did not run 200k cycles out
