@@ -235,8 +235,5 @@ class ProfilingSession:
     def detach(self) -> None:
         """Free the counter structures (end of session)."""
         for structure in self.structures.values():
-            structure.detach()
-            self.device.mcds.rate_counters.remove(structure)
-            if structure in self.device.mcds._cycle_basis:
-                self.device.mcds._cycle_basis.remove(structure)
+            self.device.mcds.remove_rate_counter(structure)
         self.structures.clear()

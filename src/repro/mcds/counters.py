@@ -12,6 +12,12 @@ that is what "connect multiple counter structures" means — a
 high-resolution structure armed only while a low-resolution one crosses a
 threshold (see :mod:`repro.core.profiling.multires`).
 
+Like the silicon, which counts in hardware and costs one trace message per
+closed window, the model pays per emitted sample: every structure counting
+on one basis signal shares a single hub subscription (:class:`_BasisGroup`)
+that only does work when the nearest window closes.  Cycle-basis windows
+are clocked by the MCDS, which sleeps between them.
+
 Hardware counters are finite: a ``width``-bit event counter that overflows
 within one resolution window either **saturates** at its maximum,
 **wraps** modulo 2^width, or **raises** — explicit, configurable
@@ -36,6 +42,77 @@ CYCLES = "cycles"
 SATURATE = "saturate"
 WRAP = "wrap"
 RAISE = "raise"
+
+#: ``_BasisGroup.left`` while no member is enabled: no emission closes a window
+_NEVER = 2 ** 63
+
+
+class _BasisGroup:
+    """The one hub subscription of all structures on one basis signal.
+
+    An emission only adds to ``pending`` and compares it with ``left``, the
+    basis units until the nearest enabled member window closes.  Members
+    are brought up to date by :meth:`sync` when that window closes, and
+    before anything reads or changes a member's window, so every sample
+    and every ``basis_count`` equals what per-structure counting gives.
+    The group is found through the hub's subscriber list, so it lives
+    exactly as long as the device that owns the hub.
+    """
+
+    def __init__(self, hub: EventHub, basis: str) -> None:
+        self.hub = hub
+        self.basis = basis
+        self.members: list = []
+        self.pending = 0
+        self.left = _NEVER
+
+    @classmethod
+    def join(cls, structure: "RateCounterStructure") -> "_BasisGroup":
+        hub, basis = structure.hub, structure.basis
+        for callback in hub.subscribers(basis):
+            group = getattr(callback, "__self__", None)
+            if isinstance(group, cls):
+                group.sync()
+                hub.unsubscribe(basis, group.on_basis)
+                break
+        else:
+            group = cls(hub, basis)
+        # (re)subscribed last: a member whose events include its basis
+        # signal counts the current emission before its window closes
+        hub.subscribe(basis, group.on_basis)
+        group.members.append(structure)
+        group.sync()
+        return group
+
+    def leave(self, structure: "RateCounterStructure") -> None:
+        self.sync()
+        self.members.remove(structure)
+        if not self.members:
+            self.hub.unsubscribe(self.basis, self.on_basis)
+
+    def on_basis(self, count: int) -> None:
+        pending = self.pending + count
+        self.pending = pending
+        if pending >= self.left:
+            self.sync()
+
+    def sync(self) -> None:
+        """Credit pending units to the enabled members, closing their due
+        windows in allocation order, and re-arm ``left``."""
+        pending = self.pending
+        self.pending = 0
+        left = _NEVER
+        for member in self.members:
+            if member.enabled:
+                count = member._basis_count + pending
+                member._basis_count = count
+                resolution = member.resolution
+                while count >= resolution:
+                    member._sample()
+                    count = member._basis_count
+                if resolution - count < left:
+                    left = resolution - count
+        self.left = left
 
 
 class RateCounterStructure:
@@ -63,7 +140,7 @@ class RateCounterStructure:
         self.on_overflow = on_overflow
         self._max = (1 << width) - 1
         self.event_count = 0
-        self.basis_count = 0
+        self._basis_count = 0
         self.samples_emitted = 0
         self.saturations = 0
         self.wraps = 0
@@ -79,8 +156,17 @@ class RateCounterStructure:
 
         for event in self.events:
             hub.subscribe(event, self._on_event)
-        if basis != CYCLES:
-            hub.subscribe(basis, self._on_basis)
+        self._group = None if basis == CYCLES else _BasisGroup.join(self)
+
+    @property
+    def basis_count(self) -> int:
+        """Basis units counted in the open window."""
+        self._sync()
+        return self._basis_count
+
+    def _sync(self) -> None:
+        if self._group is not None:
+            self._group.sync()
 
     # -- hub callbacks -----------------------------------------------------
     def _on_event(self, count: int) -> None:
@@ -101,19 +187,17 @@ class RateCounterStructure:
                     f"counter {self.name!r} overflowed its {self.width}-bit "
                     f"range within one resolution window")
 
-    def _on_basis(self, count: int) -> None:
-        if not self.enabled:
-            return
-        self.basis_count += count
-        while self.basis_count >= self.resolution:
-            self._sample()
-
     def on_cycle(self, cycle: int) -> None:
         """Called by the MCDS once per cycle; drives cycle-basis structures."""
         if self.basis == CYCLES and self.enabled:
-            self.basis_count += 1
-            if self.basis_count >= self.resolution:
+            self._basis_count += 1
+            if self._basis_count >= self.resolution:
                 self._sample()
+
+    def skip_cycles(self, cycles: int) -> None:
+        """Credit cycle-basis ticks the kernel skipped; none closes a window."""
+        if self.enabled:
+            self._basis_count += cycles
 
     # -- sampling -------------------------------------------------------------
     def _sample(self) -> None:
@@ -132,36 +216,45 @@ class RateCounterStructure:
         self._taint = None
         self.samples_emitted += 1
         self.event_count = 0
-        self.basis_count -= self.resolution
+        self._basis_count -= self.resolution
         if self.sink is not None:
             self.sink(self.hub.cycle, self, value)
 
     # -- trigger-side control ----------------------------------------------------
+    # every change to a window is framed by two group syncs: the first
+    # credits what the old state counted, the second re-arms the group
     def enable(self) -> None:
+        self._sync()
         self.enabled = True
+        self._sync()
 
     def disable(self) -> None:
         """Disable and clear partial counts (a fresh window on re-arm)."""
+        self._sync()
         self.enabled = False
         self.event_count = 0
-        self.basis_count = 0
+        self._basis_count = 0
+        self._sync()
 
     def detach(self) -> None:
         """Unsubscribe from the hub (free the counter resources)."""
         for event in self.events:
             self.hub.unsubscribe(event, self._on_event)
-        if self.basis != CYCLES:
-            self.hub.unsubscribe(self.basis, self._on_basis)
+        if self._group is not None:
+            self._group.leave(self)
+            self._group = None
 
     def reset(self) -> None:
+        self._sync()
         self.event_count = 0
-        self.basis_count = 0
+        self._basis_count = 0
         self.samples_emitted = 0
         self.saturations = 0
         self.wraps = 0
         self.last_sample = None
         self.last_sample_tainted = None
         self._taint = None
+        self._sync()
 
     # -- checkpoint ----------------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -176,15 +269,17 @@ class RateCounterStructure:
                 "taint": self._taint}
 
     def restore_state(self, state: dict) -> None:
+        self._sync()
         self.enabled = state["enabled"]
         self.event_count = state["event_count"]
-        self.basis_count = state["basis_count"]
+        self._basis_count = state["basis_count"]
         self.samples_emitted = state["samples_emitted"]
         self.saturations = state["saturations"]
         self.wraps = state["wraps"]
         self.last_sample = state["last_sample"]
         self.last_sample_tainted = state["last_sample_tainted"]
         self._taint = state["taint"]
+        self._sync()
 
 
 class RawCounter:

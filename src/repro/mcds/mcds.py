@@ -75,9 +75,18 @@ class Mcds(Component):
         structure.sink = self._on_rate_sample
         self.rate_counters.append(structure)
         if basis == counters_mod.CYCLES:
-            self._cycle_basis.append(structure)
+            # woken before the new window joins: waking credits the span
+            # slept so far, which predates that window
             self.wake()
+            self._cycle_basis.append(structure)
         return structure
+
+    def remove_rate_counter(self, structure) -> None:
+        """Free a counter structure and its hardware slot."""
+        structure.detach()
+        self.rate_counters.remove(structure)
+        if structure in self._cycle_basis:
+            self._cycle_basis.remove(structure)
 
     def _on_rate_sample(self, cycle: int, structure, value: int) -> None:
         msg = self.factory.rate_sample(cycle, structure.name, value)
@@ -165,11 +174,22 @@ class Mcds(Component):
     # -- per-cycle work -----------------------------------------------------------
     def idle_until(self, cycle: int):
         # everything else the MCDS does is event-driven through hub
-        # subscriptions and trace hooks; only cycle-basis sampling windows,
-        # triggers, and trigger state machines need the clock
-        if self._cycle_basis or self.triggers or self.state_machines:
+        # subscriptions and trace hooks; triggers and trigger state machines
+        # need every cycle, cycle-basis windows only the one that closes them
+        if self.triggers or self.state_machines:
             return None
-        return FOREVER
+        wake = FOREVER
+        for structure in self._cycle_basis:
+            if not structure.enabled:
+                return None      # enable() does not wake the MCDS
+            close = cycle + structure.resolution - structure.basis_count - 1
+            if close < wake:
+                wake = close
+        return wake
+
+    def on_kernel_skip(self, start: int, stop: int) -> None:
+        for structure in self._cycle_basis:
+            structure.skip_cycles(stop - start)
 
     def observable_state(self) -> int:
         # trace bytes for the strict-equivalence auditor: a quiescent tick

@@ -73,6 +73,10 @@ class EventHub:
     def unsubscribe(self, name: str, callback: Callable[[int], None]) -> None:
         self._subs[self.signal_id(name)].remove(callback)
 
+    def subscribers(self, name: str) -> tuple:
+        """The callbacks attached to a signal, in dispatch order."""
+        return tuple(self._subs[self.register(name)])
+
     # -- hot path --------------------------------------------------------------
     def emit(self, sid: int, count: int = 1) -> None:
         """Emit ``count`` occurrences of signal ``sid`` this cycle."""

@@ -628,7 +628,10 @@ class Simulator:
                                 f"{slot.comp.name!r} claimed quiescence "
                                 f"until cycle {slot.wake_at} but its tick "
                                 f"at cycle {c} changed observable state")
+                        # the audited tick did this cycle's work: _settle
+                        # must not replay it through on_kernel_skip
                         slot.skipped += 1
+                        slot.slept_from = c + 1
                         continue
                     slot.asleep = False
                 slot.tick(c)

@@ -11,6 +11,7 @@ instead of silently corrupting results.
 
 import pytest
 
+from repro.core.profiling import ProfilingSession, spec
 from repro.errors import KernelEquivalenceError, WatchdogExpired
 from repro.faults.watchdog import SimulationWatchdog
 from repro.soc.config import tc1797_config
@@ -67,6 +68,70 @@ def test_strict_equivalence_mode_audits_clean(scenario, params):
     strict.run(CYCLES)           # would raise on any unsound idle claim
     assert state(strict) == state(naive)
     assert strict.soc.sim.kernel_stats()["kernel"] == "strict"
+
+
+def test_strict_snapshots_credit_audited_ticks_once():
+    # strict mode audits an asleep slot by ticking it; settling a step
+    # boundary must not replay those cycles through on_kernel_skip
+    naive = build(RtosScenario, {"idle_halt": True}, "naive")
+    strict = build(RtosScenario, {"idle_halt": True}, "strict")
+    for stop in (1234, 10_000, CYCLES):
+        naive.run(stop - naive.cycle)
+        strict.run(stop - strict.cycle)
+        assert strict.soc.sim.snapshot_state() == \
+            naive.soc.sim.snapshot_state()
+    stats = strict.soc.sim.kernel_stats()
+    for entry in stats["components"]:
+        assert 0 <= entry["skipped"] <= CYCLES
+        assert entry["ticks"] + entry["skipped"] == CYCLES
+
+
+# -- profiled runs: the MCDS sleeps between cycle-basis windows ---------------
+#: step boundaries inside open windows of both grids
+PROFILED_STOPS = (1234, 5000, 12345)
+
+
+def emem_stream(device):
+    return [(m.kind, m.cycle, m.source, m.value, m.bits)
+            for m in device.emem.contents()]
+
+
+@pytest.mark.parametrize("ipc_resolution,rate_per", [(256, 100), (32, 1)])
+@pytest.mark.parametrize("scenario,params", [
+    (EngineControlScenario, {}),
+    (RtosScenario, {"idle_halt": True}),
+])
+def test_profiled_kernels_match_naive(scenario, params, ipc_resolution,
+                                      rate_per):
+    runs, stats = {}, None
+    for mode in ("naive", "quiescent", "strict"):
+        device = build(scenario, params, mode)
+        ProfilingSession(device, spec.engine_parameter_set(
+            ipc_resolution, rate_per))
+        snapshots = []
+        for stop in PROFILED_STOPS:
+            device.run(stop - device.cycle)
+            snapshots.append(device.soc.sim.snapshot_state())
+        runs[mode] = (state(device), emem_stream(device), snapshots)
+        if mode == "quiescent":
+            stats = device.soc.sim.kernel_stats()
+    assert runs["quiescent"] == runs["naive"]
+    assert runs["strict"] == runs["naive"]
+    assert runs["naive"][1]                        # samples were emitted
+
+    # non-intrusive while the MCDS sleeps: CPU state and oracle totals
+    # equal an unprofiled run's
+    bare = build(scenario, params, "quiescent")
+    bare.run(PROFILED_STOPS[-1])
+    profiled = runs["quiescent"][0]
+    assert {key: value for key, value in state(bare).items()
+            if not key.startswith("mcds")} == \
+        {key: value for key, value in profiled.items()
+         if not key.startswith("mcds")}
+
+    # the MCDS ticks once per closing cycle-basis window, not per cycle
+    mcds = next(e for e in stats["components"] if e["name"] == "mcds")
+    assert mcds["ticks"] <= PROFILED_STOPS[-1] // ipc_resolution + 2
 
 
 def test_equivalence_survives_reset():

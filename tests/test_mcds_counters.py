@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.profiling import ProfilingSession, spec
 from repro.mcds.counters import CYCLES, RateCounterStructure, RawCounter
+from repro.soc.config import tc1797_config
+from repro.soc.kernel import signals
 from repro.soc.kernel.hub import EventHub
+from repro.workloads import EngineControlScenario
 
 
 def make_structure(resolution=10, basis="instr", events=("ev",),
@@ -100,6 +104,78 @@ def test_detach_unsubscribes():
     hub.emit(hub.signal_id("ev"))
     hub.emit(hub.signal_id("instr"), 100)
     assert samples == []
+
+
+def test_own_basis_member_joining_a_group_counts_the_closing_emission():
+    # "own" counts its own basis signal and joins the group "first" opened;
+    # then it is disabled and re-enabled mid-window.  The expected samples
+    # are what one basis callback per structure gives.
+    hub = EventHub()
+    ev, instr = hub.register("ev"), hub.register("instr")
+    samples = []
+
+    def sink(cycle, structure, value):
+        samples.append((cycle, structure.name, value))
+
+    def drive(cycle, ev_count, instr_count):
+        hub.cycle = cycle
+        if ev_count:
+            hub.emit(ev, ev_count)
+        hub.emit(instr, instr_count)
+
+    first = RateCounterStructure("first", hub, ("ev",), 4, "instr")
+    first.sink = sink
+    drive(1, 2, 3)
+    own = RateCounterStructure("own", hub, ("instr",), 3, "instr")
+    own.sink = sink
+    drive(2, 1, 1)
+    drive(3, 0, 2)              # closes own's window: 3 includes this 2
+    drive(4, 1, 1)
+    assert (own.basis_count, first.basis_count) == (1, 3)
+    own.disable()
+    drive(5, 2, 2)
+    own.enable()
+    drive(6, 0, 3)
+    drive(7, 1, 7)              # burst: own closes two windows
+    assert samples == [(2, "first", 3), (3, "own", 3), (5, "first", 3),
+                       (6, "first", 0), (6, "own", 3), (7, "first", 1),
+                       (7, "own", 7), (7, "own", 0)]
+    assert (own.basis_count, first.basis_count) == (1, 3)
+
+
+def profiled_engine(cycles_before=0):
+    device = EngineControlScenario().build(tc1797_config(), {}, seed=2008)
+    device.run(cycles_before)
+    return device, ProfilingSession(device, spec.engine_parameter_set())
+
+
+def test_instruction_basis_structures_share_one_subscription():
+    device, session = profiled_engine()
+    owners = [callback.__self__
+              for callback in device.hub.subscribers(signals.TC_INSTR)]
+    # tc.ipc counts instructions as its event; the eight structures on
+    # the instruction basis sit behind one group callback
+    assert owners[0] is session.structures["tc.ipc"]
+    assert len(owners) == 2
+    assert sorted(m.name for m in owners[1].members) == sorted(
+        p.name for p in session.specs if p.basis == signals.TC_INSTR)
+
+
+def test_profiled_device_windows_conserve_oracle_totals():
+    device, session = profiled_engine(cycles_before=1000)
+    start, start_cycle = device.hub.snapshot(), device.cycle
+    result = session.run(12_345)
+    now = device.hub.snapshot()
+    for pspec in session.specs:
+        structure = session.structures[pspec.name]
+        events = sum(now[e] - start[e] for e in pspec.events)
+        assert sum(result[pspec.name].value_list()) \
+            + structure.event_count == events, pspec.name
+        if pspec.basis == CYCLES:
+            basis = device.cycle - start_cycle
+        else:
+            basis = now[pspec.basis] - start[pspec.basis]
+        assert structure.basis_count == basis % pspec.resolution, pspec.name
 
 
 def test_resolution_validation():
