@@ -14,6 +14,9 @@ No lane carries the live measurement plane.  Each lane records its raw
 emission stream and the profile is reconstructed afterwards as array
 math (:mod:`repro.batch.measure`), byte-identical to what a scalar
 :class:`~repro.core.profiling.ProfilingSession` would have decoded.
+Devices, parameter sets and payloads come from the scalar worker's own
+builders and the profile dict from the export module's, so the sample
+arithmetic is the only code the two backends do not share.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ try:
 except ImportError:          # pragma: no cover - guarded by require_numpy
     np = None
 
-from ..core.profiling import spec as pspec
-from ..core.profiling.export import result_to_json  # noqa: F401  (tests)
+# the export's profile builder, bound under the name bench/phases.py spans
+from ..core.profiling.export import result_to_dict as profile_payload
 from ..core.profiling.session import ProfileResult
 from ..errors import CampaignStopped, ConfigurationError
 from ..faults import injector as _fi
+from ..fleet.worker import build_device, job_payload, job_specs
 from ..obs import runtime as _obs
 from .measure import EmissionLog, reconstruct_result, watched_signals
 
@@ -77,29 +81,15 @@ class LaneSimulator:
         _check_supported(jobs)
         if stride < 1:
             raise ConfigurationError("stride must be >= 1")
-        from ..fleet.worker import CONFIGS, SCENARIOS
         self.jobs = [dict(job) for job in jobs]
         self.stride = stride
-        self.specs = pspec.engine_parameter_set(
-            ipc_resolution=self.jobs[0]["ipc_resolution"],
-            rate_per=self.jobs[0]["rate_per"])
+        self.specs = job_specs(self.jobs[0])
         signals = watched_signals(self.specs)
         self.devices = []
         self.logs: List[EmissionLog] = []
         self.start_cycles: List[int] = []
         for job in self.jobs:
-            try:
-                scenario = SCENARIOS[job["domain"]]()
-            except KeyError:
-                raise ConfigurationError(
-                    f"unknown workload domain {job['domain']!r}")
-            try:
-                config = CONFIGS[job["device"]]()
-            except KeyError:
-                raise ConfigurationError(
-                    f"unknown device config {job['device']!r}")
-            device = scenario.build(config, dict(job["params"]),
-                                    seed=job["seed"])
+            device = build_device(job)
             if device.mcds.total_messages:
                 raise BatchUnsupported(
                     f"scenario {job['domain']!r} emits trace messages "
@@ -177,53 +167,10 @@ class LaneSimulator:
                 result = self.result(lane)
         else:
             result = self.result(lane)
-        return {
-            "name": job["name"],
-            "domain": job["domain"],
-            "device": job["device"],
-            "cycles": job["cycles"],
-            "sim_cycles": self.devices[lane].soc.sim.cycle,
-            "profile": profile_payload(result),
-        }
+        return job_payload(job, self.devices[lane], profile_payload(result))
 
     def payloads(self) -> List[Dict]:
         return [self.payload(lane) for lane in range(self.lanes)]
-
-
-def profile_payload(result: ProfileResult) -> Dict:
-    """``json.loads(result_to_json(result, compact=True))`` without the
-    serialisation round trip.
-
-    Equality holds because canonical JSON round-trips every value here
-    exactly (ints, shortest-repr floats, lists of ints); the property
-    tests assert it against the real exporter.
-    """
-    payload: Dict = {
-        "cycles_run": result.cycles_run,
-        "frequency_mhz": result.frequency_mhz,
-        "trace_bits": result.trace_bits,
-        "bandwidth_mbps": result.bandwidth_mbps(),
-        "lost_messages": result.lost_messages,
-        "parameters": {},
-    }
-    if result.gaps:
-        payload["gaps"] = [gap.to_list() for gap in result.gaps]
-    for name, data in result.series.items():
-        # the series lists are shared, not copied: both sides are
-        # freshly reconstructed per lane and immediately serialised
-        entry: Dict = {
-            "events": list(data.spec.events),
-            "basis": data.spec.basis,
-            "resolution": data.spec.resolution,
-            "samples": len(data),
-            "mean_rate": data.mean_rate(),
-            "cycles": data.cycle_list(),
-            "values": data.value_list(),
-        }
-        if data.degraded_count:
-            entry["degraded"] = data.degraded_indices()
-        payload["parameters"][name] = entry
-    return payload
 
 
 def run_lane_group(jobs: Sequence[Dict],

@@ -21,32 +21,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .soc.config import tc1767_config, tc1797_config
+from .soc.config import CONFIGS
 
 
 def _scenario(name: str):
-    from .workloads import (BodyGatewayScenario, EngineControlScenario,
-                            RtosScenario, TransmissionScenario)
-    scenarios = {
-        "engine": EngineControlScenario,
-        "transmission": TransmissionScenario,
-        "body": BodyGatewayScenario,
-        "rtos": RtosScenario,
-    }
+    from .workloads import SCENARIOS
     try:
-        return scenarios[name]()
+        return SCENARIOS[name]()
     except KeyError:
         raise SystemExit(f"unknown scenario {name!r}; "
-                         f"choose from {sorted(scenarios)}")
+                         f"choose from {sorted(SCENARIOS)}")
 
 
 def _config(name: str):
-    configs = {"tc1797": tc1797_config, "tc1767": tc1767_config}
     try:
-        return configs[name]()
+        return CONFIGS[name]()
     except KeyError:
         raise SystemExit(f"unknown device {name!r}; "
-                         f"choose from {sorted(configs)}")
+                         f"choose from {sorted(CONFIGS)}")
 
 
 def _add_telemetry_flags(p) -> None:

@@ -106,15 +106,14 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
                   deadline_s: Optional[float] = None,
                   cache: bool = True,
                   ttl_s: float = 5.0,
-                  in_process: bool = False,
                   wait_timeout_s: float = 600.0) -> CampaignReport:
     """Execute a campaign over ``nodes`` worker processes; fold the report.
 
     ``jobs=None`` reuses a manifest already submitted into
     ``cluster_dir`` (the service pre-submits, then fans out).
-    ``in_process=True`` runs a single :class:`ClusterNode` in this
-    process instead of spawning — no crash isolation, but deterministic
-    and debuggable, and still exercising the full lease/fence protocol
+    ``nodes=0`` runs a single :class:`ClusterNode` in this process
+    instead of spawning — no crash isolation, but deterministic and
+    debuggable, and still exercising the full lease/fence protocol
     (tests and ``--nodes 0`` use it).
     """
     if jobs is not None:
@@ -123,7 +122,7 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
                fault_plan=fault_plan, deadline_s=deadline_s, cache=cache)
     else:
         load_manifest(cluster_dir)     # fail fast on an empty dir
-    if in_process or nodes == 0:
+    if nodes == 0:
         ClusterNode(cluster_dir, node_id="node-local", ttl_s=ttl_s).run()
         return fold_report(cluster_dir, nodes=1)
     if nodes < 1:

@@ -8,6 +8,9 @@ The JSON form is a lossless round trip: :func:`result_from_json` rebuilds
 a live :class:`ProfileResult` (specs included), and re-exporting the
 loaded result reproduces the original text byte-for-byte.  That stability
 is what lets the fleet campaign cache key payloads by content hash.
+:func:`result_to_dict` and :func:`result_from_dict` are the same format as
+plain data, for callers (the fleet worker, the batch lanes, campaign
+aggregation) that keep the profile inside a larger JSON document.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from .session import ProfileResult, SeriesData
 from .spec import ParameterSpec
 
 
-def result_to_json(result: ProfileResult, include_series: bool = True,
-                   compact: bool = False) -> str:
-    """Serialise a profile to JSON (summary plus optional full series).
+def result_to_dict(result: ProfileResult,
+                   include_series: bool = True) -> Dict:
+    """The profile as plain data: the one builder of the export format.
 
-    The output is canonical — keys sorted, values derived deterministically
-    from the series — so equal results serialise to identical bytes.
-    ``compact`` drops whitespace (the form the fleet cache hashes and
-    stores); the default stays human-readable.
+    Only dicts, lists, strings, ints and floats, freshly built (nothing
+    shared with ``result``), so the dict equals
+    ``json.loads(result_to_json(result, compact=True))`` and any sorted
+    JSON rendering of it reproduces the export bytes.
     """
     payload: Dict = {
         "cycles_run": result.cycles_run,
@@ -58,6 +61,19 @@ def result_to_json(result: ProfileResult, include_series: bool = True,
             if data.degraded_count:
                 entry["degraded"] = data.degraded_indices()
         payload["parameters"][name] = entry
+    return payload
+
+
+def result_to_json(result: ProfileResult, include_series: bool = True,
+                   compact: bool = False) -> str:
+    """Serialise a profile to JSON (summary plus optional full series).
+
+    The output is canonical — keys sorted, values derived deterministically
+    from the series — so equal results serialise to identical bytes.
+    ``compact`` drops whitespace (the form the fleet cache hashes and
+    stores); the default stays human-readable.
+    """
+    payload = result_to_dict(result, include_series)
     if compact:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -74,13 +90,12 @@ def _series_from_entry(name: str, entry: Dict) -> SeriesData:
     return data
 
 
-def result_from_json(text: str) -> ProfileResult:
-    """Rebuild a :class:`ProfileResult` from an exported profile.
+def result_from_dict(payload: Dict) -> ProfileResult:
+    """Rebuild a :class:`ProfileResult` from :func:`result_to_dict` data.
 
     Requires a full-series export (``include_series=True``); a summary-only
     export has thrown away the samples and cannot be round-tripped.
     """
-    payload = json.loads(text)
     if not isinstance(payload, dict):
         raise FormatError("not a profile export: expected an object")
     required = ("cycles_run", "frequency_mhz", "parameters")
@@ -102,6 +117,11 @@ def result_from_json(text: str) -> ProfileResult:
         lost_messages=payload.get("lost_messages", 0),
         gaps=[Gap.from_list(item) for item in payload.get("gaps", ())],
     )
+
+
+def result_from_json(text: str) -> ProfileResult:
+    """Rebuild a :class:`ProfileResult` from an exported profile."""
+    return result_from_dict(json.loads(text))
 
 
 def series_to_csv(result: ProfileResult,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 import zlib
 from contextlib import contextmanager
 from typing import Dict, Iterable, Union
@@ -64,12 +64,13 @@ def atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
     memory.  The temp file is unique per call, so concurrent writers of one path
     never share (and tear) a temp file: the last rename wins whole.  A
     failure before the rename removes the temp file and leaves the
-    target untouched.
+    target untouched.  The file gets the mode a plain ``open()`` gives a
+    new file (0o666 less the umask), like one :func:`append_line` creates.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
+    tmp = os.path.join(directory, f"{os.path.basename(path)}."
+                                  f"{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             if isinstance(text, str):

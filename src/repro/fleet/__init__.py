@@ -13,9 +13,6 @@ count — parallelism changes the wall clock, never the science.
 
 from .aggregate import (campaign_matrix, matrix_table, profile_of,
                         rank_portfolio, volume_weights)
-# run_campaign is the polymorphic api entry point (spec dict | CampaignSpec
-# | job list); the orchestrator's job-list helper stays importable as
-# repro.fleet.orchestrator.run_campaign for anyone who bound to it
 from .api import CampaignSpec, jobs_for, run_campaign
 from .cache import ResultCache
 from .metrics import CampaignMetrics

@@ -17,16 +17,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import json
-
 from ..core.optimization.portfolio import (PortfolioEntry,
                                            PortfolioEvaluator)
-from ..core.profiling.export import result_from_json
+from ..core.profiling.export import result_from_dict
 
 
 def profile_of(record: Dict):
     """Rebuild the live :class:`ProfileResult` from a campaign record."""
-    return result_from_json(json.dumps(record["payload"]["profile"]))
+    return result_from_dict(record["payload"]["profile"])
 
 
 def _mean_rate(payload: Dict, name: str) -> float:

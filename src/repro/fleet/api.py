@@ -10,9 +10,8 @@ same spec are *the same computation*, which is what makes the service's
 byte-identity acceptance test (service SSE payloads == offline aggregate)
 possible at all.
 
-:func:`run_campaign` stays backward compatible with the original
-orchestrator helper: passing a sequence of :class:`CampaignJob` still
-works, so existing callers and tests are untouched.
+:func:`run_campaign` also takes a plain sequence of :class:`CampaignJob`,
+so job-list callers need no spec.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..soc.config import CONFIGS
 from .orchestrator import CampaignReport, CampaignRunner
 from .spec import CampaignJob, build_matrix
 
@@ -104,11 +104,10 @@ class CampaignSpec:
         if int(self.ipc_resolution) < 1 or int(self.rate_per) < 1:
             raise ConfigurationError(
                 "ipc_resolution and rate_per must be >= 1")
-        from ..soc.config import tc1767_config, tc1797_config  # noqa: F401
-        if self.device not in ("tc1797", "tc1767"):
+        if self.device not in CONFIGS:
             raise ConfigurationError(
                 f"unknown device {self.device!r}; "
-                f"choose from ['tc1767', 'tc1797']")
+                f"choose from {sorted(CONFIGS)}")
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "CampaignSpec":

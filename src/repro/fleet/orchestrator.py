@@ -542,8 +542,3 @@ class CampaignRunner:
                     carried["wall_s"] += prior_failures[job.job_id]["wall_s"]
                 failures[job.job_id] = carried
         return failures
-
-
-def run_campaign(jobs: Sequence[CampaignJob], **kwargs) -> CampaignReport:
-    """Convenience wrapper: build a runner and run it."""
-    return CampaignRunner(jobs, **kwargs).run()

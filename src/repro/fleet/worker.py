@@ -3,9 +3,9 @@
 :func:`run_shard` is the function shipped to the ``ProcessPoolExecutor``
 — a module-level callable taking only plain dictionaries, so it pickles
 under any start method.  Each job rebuilds its scenario and emulation
-device from the declarative spec, runs one profiling session, and returns
-the result as the canonical JSON payload produced by
-:func:`repro.core.profiling.export.result_to_json`.  Because every job
+device from the declarative spec (:func:`build_device`), runs one profiling
+session, and returns the result as the payload :func:`job_payload` builds
+around :func:`repro.core.profiling.export.result_to_dict`.  Because every job
 builds a fresh device from a fixed seed, a job's payload is bit-identical
 no matter which process (or how many processes) ran it — the determinism
 the orchestrator's ``--workers N`` equivalence guarantee rests on.
@@ -23,7 +23,7 @@ outcome status as it is, and the shard ends there.
 
 from __future__ import annotations
 
-import json
+import json  # noqa: F401  (bench/phases.py wraps worker.json)
 import os
 import time
 import traceback
@@ -32,7 +32,9 @@ from typing import Callable, Dict, List, Optional
 
 from ..checkpoint import (PREV_SUFFIX, CheckpointError,
                           load_latest_checkpoint, save_checkpoint)
-from ..core.profiling.export import result_to_json
+from ..core.profiling.export import result_to_dict
+# bench/phases.py wraps worker.result_to_json in a span
+from ..core.profiling.export import result_to_json  # noqa: F401
 from ..core.profiling.session import ProfilingSession
 from ..core.profiling import spec as pspec
 from ..errors import CampaignStopped, ConfigurationError, FaultInjected
@@ -40,24 +42,9 @@ from ..faults import (FaultInjector, FaultPlan, SimulationWatchdog,
                       active_injector, fault_point)
 from ..obs import bridge as _obs_bridge
 from ..obs import runtime as _obs
-from ..soc.config import tc1767_config, tc1797_config
+from ..soc.config import CONFIGS
+from ..workloads import SCENARIOS
 from .spec import CampaignJob
-from ..workloads.body import BodyGatewayScenario
-from ..workloads.engine import EngineControlScenario
-from ..workloads.rtos import RtosScenario
-from ..workloads.transmission import TransmissionScenario
-
-SCENARIOS = {
-    "engine": EngineControlScenario,
-    "transmission": TransmissionScenario,
-    "body": BodyGatewayScenario,
-    "rtos": RtosScenario,
-}
-
-CONFIGS = {
-    "tc1797": tc1797_config,
-    "tc1767": tc1767_config,
-}
 
 #: ``should_stop() -> reason``: ``None`` to go on
 StopCheck = Callable[[], Optional[str]]
@@ -212,11 +199,48 @@ def _run_checkpointed(job: Dict, device, checkpoint: Dict,
     _discard_checkpoints(path)
 
 
+def build_device(job: Dict):
+    """The job's emulation device, built fresh from its spec."""
+    try:
+        scenario = SCENARIOS[job["domain"]]()
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown workload domain {job['domain']!r}")
+    try:
+        config = CONFIGS[job["device"]]()
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown device config {job['device']!r}")
+    return scenario.build(config, dict(job["params"]), seed=job["seed"])
+
+
+def job_specs(job: Dict) -> List[pspec.ParameterSpec]:
+    """The parameters a job measures: its profile's series."""
+    return pspec.engine_parameter_set(ipc_resolution=job["ipc_resolution"],
+                                      rate_per=job["rate_per"])
+
+
+def job_payload(job: Dict, device, profile: Dict) -> Dict:
+    """A job's result payload: the fields aggregation needs plus the
+    profile dict (:func:`~repro.core.profiling.export.result_to_dict`)."""
+    return {
+        "name": job["name"],
+        "domain": job["domain"],
+        "device": job["device"],
+        "cycles": job["cycles"],
+        # cycles actually simulated (deterministic, unlike wall time, so
+        # it may live in the payload); campaign metrics divide the sum by
+        # in-worker busy time for fleet-wide throughput
+        "sim_cycles": device.soc.sim.cycle,
+        "profile": profile,
+    }
+
+
 def _execute(job: Dict, watchdog_spec: Optional[Dict] = None,
              checkpoint: Optional[Dict] = None,
              stats: Optional[Dict] = None, attempt: int = 0,
              should_stop: Optional[StopCheck] = None) -> Dict:
-    """Build the device, run the session, serialise the payload."""
+    """Build the device, run the session, build the payload."""
     tel = _obs._active
     # a live span only with in-process execution (workers=0) or inside a
     # worker that installed its own telemetry; pool workers inherit none
@@ -224,22 +248,8 @@ def _execute(job: Dict, watchdog_spec: Optional[Dict] = None,
         "job.execute", cat="fleet", job=job["name"], domain=job["domain"],
         device=job["device"])
     with span:
-        try:
-            scenario = SCENARIOS[job["domain"]]()
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown workload domain {job['domain']!r}")
-        try:
-            config = CONFIGS[job["device"]]()
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown device config {job['device']!r}")
-        device = scenario.build(config, dict(job["params"]),
-                                seed=job["seed"])
-        session = ProfilingSession(
-            device, pspec.engine_parameter_set(
-                ipc_resolution=job["ipc_resolution"],
-                rate_per=job["rate_per"]))
+        device = build_device(job)
+        session = ProfilingSession(device, job_specs(job))
         if checkpoint:
             # the roster must be final before a restore can be attempted,
             # and the watchdog must be guarded *around* the restore so a
@@ -260,17 +270,7 @@ def _execute(job: Dict, watchdog_spec: Optional[Dict] = None,
             # device still exists; metrics only, so payload bytes are
             # unaffected
             _obs_bridge.record_device_stats(tel.registry, device)
-        return {
-            "name": job["name"],
-            "domain": job["domain"],
-            "device": job["device"],
-            "cycles": job["cycles"],
-            # cycles actually simulated (deterministic, unlike wall time,
-            # so it may live in the payload); campaign metrics divide the
-            # sum by in-worker busy time for fleet-wide throughput
-            "sim_cycles": device.soc.sim.cycle,
-            "profile": json.loads(result_to_json(result, compact=True)),
-        }
+        return job_payload(job, device, result_to_dict(result))
 
 
 def execute_job(job: Dict, attempt: int = 0,
@@ -280,8 +280,8 @@ def execute_job(job: Dict, attempt: int = 0,
                 should_stop: Optional[StopCheck] = None) -> Dict:
     """Run one campaign job spec (a ``CampaignJob.to_dict()`` dict).
 
-    Returns the deterministic result payload: the parsed canonical-JSON
-    profile plus the identity fields aggregation needs.  With a
+    Returns the deterministic result payload (:func:`job_payload`): the
+    profile as plain data plus the identity fields aggregation needs.  With a
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan` or its dict form),
     the whole job runs under an installed injector scoped to the job name,
     so injection decisions are reproducible regardless of which worker or

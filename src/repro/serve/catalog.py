@@ -24,13 +24,14 @@ from .. import __version__
 from ..errors import FormatError
 from ..fleet.api import CampaignSpec
 from ..fleet.spec import FAULT_MODES, SCHEMA_VERSION, canonical_json
+from ..soc.config import CONFIGS
+from ..workloads import SCENARIOS
 
 #: bump when the catalog document layout changes
 CATALOG_SCHEMA = 1
 
 
 def _scenario_entries() -> Dict[str, Dict]:
-    from ..fleet.worker import SCENARIOS
     entries: Dict[str, Dict] = {}
     for key in sorted(SCENARIOS):
         cls = SCENARIOS[key]
@@ -40,7 +41,6 @@ def _scenario_entries() -> Dict[str, Dict]:
 
 
 def _device_entries() -> Dict[str, Dict]:
-    from ..fleet.worker import CONFIGS
     entries: Dict[str, Dict] = {}
     for key in sorted(CONFIGS):
         config = CONFIGS[key]()

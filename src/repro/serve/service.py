@@ -41,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..cluster.coordinator import MANIFEST_NAME, clear_stop, request_stop
 from ..errors import (ConfigurationError, QuotaExceeded,
                       ServiceUnavailable)
 from ..fleet.api import CampaignSpec, run_campaign
@@ -315,7 +316,7 @@ class CampaignService:
         """Graceful shutdown: evict running work at safe boundaries."""
         self._stopping = True
         for campaign in list(self._running_campaigns.values()):
-            campaign.yield_flag.set()
+            self._ask_to_yield(campaign)
         self._wake.set()
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
@@ -494,8 +495,15 @@ class CampaignService:
                     victim.state = EVICTING
                     victim.emit("campaign.evicting",
                                 displaced_by_priority=best)
-                    victim.yield_flag.set()
+                    self._ask_to_yield(victim)
             self._gauge_queue()
+
+    def _ask_to_yield(self, campaign: Campaign) -> None:
+        """Stop a running campaign at its next checkpoint boundary: the
+        in-process runner polls the flag, cluster nodes the STOP file."""
+        campaign.yield_flag.set()
+        if self.cluster_nodes:
+            request_stop(campaign.directory)
 
     def _run_blocking(self, campaign: Campaign):
         """Executed on a slot thread: one orchestrator run."""
@@ -550,41 +558,28 @@ class CampaignService:
         in-process path.  The first attempt submits the manifest; a
         re-dispatch after an eviction reuses it — the nodes' resume
         scan plus the per-job checkpoints make the continuation
-        byte-identical, same contract as ``resume=True``.  The service's
-        ``yield_flag`` is bridged to the cluster STOP file by a watcher
-        thread, so an eviction reaches the node subprocesses too.
+        byte-identical, same contract as ``resume=True``.  An eviction
+        reaches the node subprocesses as the STOP file
+        :meth:`_ask_to_yield` writes; :meth:`_run` clears it before the
+        attempt starts.
         """
         from ..cluster import run_clustered
-        from ..cluster.coordinator import (MANIFEST_NAME, clear_stop,
-                                           request_stop)
         from ..fleet import jobs_for
         directory = campaign.directory
         jobs = None
         if not os.path.exists(os.path.join(directory, MANIFEST_NAME)):
             jobs = jobs_for(campaign.spec)
-        clear_stop(directory)
-        done = threading.Event()
-
-        def bridge_stop() -> None:
-            while not done.is_set():
-                if campaign.yield_flag.wait(0.1):
-                    request_stop(directory)
-                    return
-
-        watcher = threading.Thread(target=bridge_stop, daemon=True,
-                                   name="repro-serve-cluster-stop")
-        watcher.start()
-        try:
-            return run_clustered(jobs, directory, nodes=self.cluster_nodes,
-                                 checkpoint_every=self.checkpoint_every,
-                                 max_retries=self.max_retries,
-                                 deadline_s=deadline_s)
-        finally:
-            done.set()
-            watcher.join(timeout=1.0)
+        return run_clustered(jobs, directory, nodes=self.cluster_nodes,
+                             checkpoint_every=self.checkpoint_every,
+                             max_retries=self.max_retries,
+                             deadline_s=deadline_s)
 
     async def _run(self, campaign: Campaign) -> None:
         campaign.attempts += 1
+        if self.cluster_nodes:
+            # cleared here, before the campaign can be seen RUNNING, so
+            # no eviction aimed at this attempt can be cleared by it
+            clear_stop(campaign.directory)
         self._journal_state(campaign, RUNNING)
         campaign.state = RUNNING
         campaign.yield_flag.clear()

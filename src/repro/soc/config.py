@@ -163,3 +163,7 @@ def tc1767_config() -> SoCConfig:
     cfg.memory.dspr_kb = 68
     cfg.memory.pspr_kb = 24
     return cfg
+
+
+#: a campaign job's ``device`` key -> its config factory
+CONFIGS = {"tc1797": tc1797_config, "tc1767": tc1767_config}

@@ -3,7 +3,7 @@ customer code, per the reproduction rules in DESIGN.md)."""
 
 from .body import BodyGatewayScenario
 from .engine import EngineControlScenario
-from .generator import Customer, CustomerGenerator
+from .generator import SCENARIOS, Customer, CustomerGenerator
 from .program import FunctionBuilder, ProgramBuilder
 from . import micro
 from .rtos import RtosScenario, TaskSpec
@@ -11,4 +11,4 @@ from .transmission import TransmissionScenario
 
 __all__ = ["BodyGatewayScenario", "EngineControlScenario", "Customer",
            "CustomerGenerator", "FunctionBuilder", "ProgramBuilder", "micro",
-           "RtosScenario", "TaskSpec", "TransmissionScenario"]
+           "RtosScenario", "SCENARIOS", "TaskSpec", "TransmissionScenario"]

@@ -88,6 +88,9 @@ _DOMAINS = (
     ("rtos", RtosScenario, _rtos_params),
 )
 
+#: a customer's or campaign job's ``domain`` key -> its scenario class
+SCENARIOS = {domain: cls for domain, cls, _ in _DOMAINS}
+
 
 class CustomerGenerator:
     """Deterministic population of synthetic customers."""

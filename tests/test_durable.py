@@ -69,6 +69,24 @@ def test_first_append_fsyncs_the_directory_later_ones_do_not(tmp_path,
         assert handle.read() == "first\nsecond\n"
 
 
+def test_durable_files_get_the_mode_a_plain_open_gives(tmp_path):
+    """Both writers honour the umask, so an atomic rewrite of a log
+    keeps the mode its first append gave it."""
+    previous = os.umask(0o022)
+    try:
+        fresh = str(tmp_path / "plan.json")
+        atomic_write(fresh, "plan\n")
+        log = str(tmp_path / "campaign.jsonl")
+        append_line(log, "record")
+        appended = stat.S_IMODE(os.stat(log).st_mode)
+        atomic_write(log, "record\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(fresh).st_mode) == 0o644
+    assert appended == 0o644
+    assert stat.S_IMODE(os.stat(log).st_mode) == 0o644
+
+
 def test_failed_atomic_write_leaves_target_and_no_temp_file(tmp_path,
                                                             monkeypatch):
     path = str(tmp_path / "x.json")

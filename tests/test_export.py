@@ -7,14 +7,19 @@ import json
 import numpy as np
 import pytest
 
+from repro.batch import HAVE_NUMPY, LaneSimulator
 from repro.core.profiling import ProfilingSession, spec
-from repro.core.profiling.export import (result_from_csv, result_from_json,
+from repro.core.profiling.export import (result_from_csv, result_from_dict,
+                                         result_from_json, result_to_dict,
                                          result_to_json, series_to_csv,
                                          summary_to_csv)
 from repro.ed.device import EdConfig, EmulationDevice
+from repro.faults import FaultInjector, FaultPlan
+from repro.fleet import CampaignJob
 from repro.soc.config import tc1797_config
 from repro.soc.cpu import isa
 from repro.soc.memory import map as amap
+from repro.workloads import EngineControlScenario
 
 from tests.helpers import make_loop_program
 
@@ -125,3 +130,51 @@ def test_summary_csv(result):
     by_name = {row[0]: row for row in rows[1:]}
     assert float(by_name["tc.ipc"][4]) == pytest.approx(
         result.mean_rate("tc.ipc"))
+
+
+# -- the one profile-dict builder ---------------------------------------------
+def _engine_result():
+    device = EngineControlScenario().build(tc1797_config(), {}, seed=48)
+    return ProfilingSession(device, spec.engine_parameter_set()).run(20_000)
+
+
+def _degraded_result():
+    # as tests/test_faults.py degrades a capture: EMEM drops leave gaps
+    device = EmulationDevice(EdConfig(soc=tc1797_config()), seed=13)
+    device.load_program(make_loop_program(
+        alu_per_iter=3,
+        load_gen=isa.TableAddr(amap.PFLASH_BASE + 0x10_0000, 4, 2048,
+                               locality=0.6)))
+    session = ProfilingSession(device, [spec.ipc(resolution=128)])
+    plan = FaultPlan(rules=({"site": "emem.drop", "probability": 0.3},))
+    with FaultInjector(plan):
+        result = session.run(20_000)
+    assert result.gaps and result.degraded_samples
+    return result
+
+
+def _lane_result():
+    job = CampaignJob(name="lane", domain="engine", device="tc1797",
+                      params={}, cycles=20_000, seed=48).to_dict()
+    lanes = LaneSimulator([job])
+    lanes.run()
+    return lanes.result(0)
+
+
+@pytest.fixture(params=[
+    _engine_result, _degraded_result,
+    pytest.param(_lane_result, marks=pytest.mark.skipif(
+        not HAVE_NUMPY, reason="numpy extra not installed"))],
+    ids=["engine", "degraded", "lane"])
+def built(request):
+    return request.param()
+
+
+def test_result_to_dict_is_the_parsed_export(built):
+    assert result_to_dict(built) == json.loads(
+        result_to_json(built, compact=True))
+
+
+def test_result_from_dict_round_trips_the_export(built):
+    assert result_to_json(result_from_dict(result_to_dict(built))) == \
+        result_to_json(built)

@@ -65,7 +65,7 @@ def test_mid_campaign_expiry_keeps_finished_prefix(tmp_path, workers):
     With ``workers=2`` the deadline stop is pickled to pool workers."""
     # cycles sized so one job comfortably outlives the deadline even as
     # the kernel gets faster — expiry must hit a mid-campaign boundary
-    spec = CampaignSpec(count=4, cycles=250_000, seed=9)
+    spec = CampaignSpec(count=4, cycles=500_000, seed=9)
     t0 = time.time()
     report = run_campaign(spec, workers=workers, campaign_dir=str(tmp_path),
                           deadline_s=0.7)

@@ -134,19 +134,24 @@ def test_bad_spec_rejected_before_admission(tmp_path):
     run(main())
 
 
-def test_preemption_at_checkpoint_boundary_byte_identical(tmp_path):
+@pytest.mark.parametrize("cluster_nodes", [0, 1])
+def test_preemption_at_checkpoint_boundary_byte_identical(tmp_path,
+                                                          cluster_nodes):
     """The tentpole e2e: two tenants, overlapping campaigns, one slot.
 
     Tenant A's long low-priority campaign is running when tenant B
     submits a higher-priority one.  A must yield at a checkpoint
     boundary, B runs to completion, A resumes and also completes — and
     BOTH aggregates are byte-identical to offline runs of the same
-    specs (eviction never changes the science).
+    specs (eviction never changes the science).  With ``cluster_nodes``
+    the campaigns run on a node subprocess and the eviction reaches it
+    as the cluster's STOP file.
     """
     async def main():
         service = CampaignService(root=str(tmp_path / "serve"),
                                   quota=open_quota(), slots=1,
-                                  checkpoint_every=4_000)
+                                  checkpoint_every=4_000,
+                                  cluster_nodes=cluster_nodes)
         await service.start()
         try:
             low = service.submit("tenant-a",
