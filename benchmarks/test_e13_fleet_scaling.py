@@ -20,7 +20,9 @@ from repro.workloads import CustomerGenerator
 
 from _common import emit, once
 
-CYCLES = 60_000
+#: long enough that the sequential leg takes over 5 s on a 2-vCPU host,
+#: so the speedup gate times parallel simulation, not pool start-up
+CYCLES = 300_000
 N_CUSTOMERS = 8
 WORKERS = 4
 SEED = 9

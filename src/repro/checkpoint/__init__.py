@@ -13,6 +13,8 @@ Public surface:
   schema-versioned, atomically written files;
 * :func:`load_latest_checkpoint` — the fallback-to-previous loader fleet
   workers use;
+* :class:`MessageLog` / :class:`Window` — the per-job message log that
+  holds the EMEM FIFO of fleet worker checkpoints (``msglog.py``);
 * :class:`~repro.errors.CheckpointError` — the (retryable) rejection.
 """
 
@@ -21,17 +23,21 @@ from .codec import decode_value, encode_value
 from .format import (MAGIC, PREV_SUFFIX, SCHEMA_VERSION, checkpoint_info,
                      load_checkpoint, load_latest_checkpoint,
                      parse_checkpoint, render_checkpoint, save_checkpoint)
+from .msglog import MessageLog, Window, message_log_path
 
 __all__ = [
     "CheckpointError",
     "MAGIC",
+    "MessageLog",
     "PREV_SUFFIX",
     "SCHEMA_VERSION",
+    "Window",
     "checkpoint_info",
     "decode_value",
     "encode_value",
     "load_checkpoint",
     "load_latest_checkpoint",
+    "message_log_path",
     "parse_checkpoint",
     "render_checkpoint",
     "save_checkpoint",

@@ -6,7 +6,7 @@ A checkpoint is one sealed JSON record (:func:`repro.durable.seal_record`)::
      "body": {...},                    # tagged-JSON simulation state
      "format": "repro-checkpoint",
      "meta": {...},                    # cycle, kind, job digest, ...
-     "schema": 2,                      # file-format revision
+     "schema": 3,                      # file-format revision
      "version": "0.1.0"}               # repro package that wrote it
 
 The CRC covers the canonical (sorted, whitespace-free) serialisation of
@@ -23,6 +23,13 @@ a kill at any point leaves the last good checkpoint readable, at
 ``checkpoint.truncated`` fault sites (see :mod:`repro.faults`)
 deliberately damage the rendered document *before* it hits the disk,
 exercising exactly the rejection path a real torn write would take.
+
+A job checkpoint keeps the EMEM FIFO in the job's message log instead of
+its body (:mod:`repro.checkpoint.msglog`): the save appends the log's new
+segment before it writes the body, and ``meta["window"]`` names the
+FIFO's positions in the log.  :func:`load_latest_checkpoint` rebuilds
+that window, so a body whose log segments are missing or damaged falls
+back exactly like a damaged body.
 """
 
 from __future__ import annotations
@@ -36,9 +43,10 @@ from ..durable import atomic_write, seal_record, unseal_record
 from ..errors import CheckpointError
 from ..obs import runtime as _obs
 from .codec import decode_value, encode_value
+from .msglog import MessageLog, Window, message_log_path
 
 #: bump on any incompatible change to the checkpoint document layout
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 MAGIC = "repro-checkpoint"
 
@@ -99,26 +107,39 @@ def _fault_damage(text: str) -> Tuple[str, Optional[str]]:
     return text, None
 
 
-def save_checkpoint(path: str, body: Dict,
-                    meta: Optional[Dict] = None) -> str:
+def save_checkpoint(path: str, body: Dict, meta: Optional[Dict] = None,
+                    window: Optional[Window] = None) -> str:
     """Atomically write a checkpoint file; returns the path written.
 
     The existing file (if any) is rotated to ``<path>.prev`` first, so
     the caller always has one older intact checkpoint to fall back to if
     this one turns out damaged.
+
+    With a ``window`` (job checkpoints, whose ``body`` then lacks the
+    EMEM FIFO), the window's new messages are first appended to its log
+    as the segment of the save at ``meta["cycle"]``, and
+    ``meta["window"]`` records the bounds.  The log must be
+    :func:`~repro.checkpoint.msglog.message_log_path` of ``path``, where
+    :func:`load_latest_checkpoint` looks for it.
     """
+    meta = dict(meta or {})
+    if window is not None:
+        meta["window"] = [window.lo, window.start + len(window.messages)]
     text = render_checkpoint(body, meta)
     text, damaged_by = _fault_damage(text)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    size = len(text) + 1
+    if window is not None:
+        size += window.log.append(meta["cycle"], window.after, window.start,
+                                  window.messages)
     if os.path.exists(path):
         os.replace(path, path + PREV_SUFFIX)
     atomic_write(path, text + "\n")
     tel = _obs._active
     if tel is not None:
-        tel.checkpoint_written(path, len(text) + 1,
-                              (meta or {}).get("cycle", 0),
-                              kind=(meta or {}).get("kind", "sim"),
-                              damaged=damaged_by)
+        tel.checkpoint_written(path, size, meta.get("cycle", 0),
+                               kind=meta.get("kind", "sim"),
+                               damaged=damaged_by)
     return path
 
 
@@ -144,6 +165,10 @@ def load_latest_checkpoint(path: str) -> Optional[Tuple[Dict, Dict, str]]:
     checkpoint exists — never raises for corruption: each rejected file
     is reported through telemetry and skipped, which implements the
     "previous checkpoint or cycle 0" fallback contract.
+
+    A job checkpoint's FIFO window is rebuilt from the message log and
+    returned as ``body["window"]`` (the messages, oldest first); a
+    segment its save needs that is missing or damaged rejects the file.
     """
     tel = _obs._active
     for candidate in (path, path + PREV_SUFFIX):
@@ -151,6 +176,10 @@ def load_latest_checkpoint(path: str) -> Optional[Tuple[Dict, Dict, str]]:
             continue
         try:
             body, meta = load_checkpoint(candidate)
+            if "window" in meta:
+                lo, hi = meta["window"]
+                body["window"] = MessageLog(message_log_path(path)).window(
+                    meta["cycle"], lo, hi)
         except CheckpointError as exc:
             if tel is not None:
                 tel.checkpoint_restored("rejected", candidate,
@@ -161,14 +190,27 @@ def load_latest_checkpoint(path: str) -> Optional[Tuple[Dict, Dict, str]]:
 
 
 def checkpoint_info(path: str) -> Dict[str, Any]:
-    """Summarise one checkpoint file for CLI inspection."""
+    """Summarise one checkpoint file for CLI inspection.
+
+    A job checkpoint keeps the simulator under ``body["sim"]`` and its
+    FIFO in the job's message log, whose intact segments and size are
+    reported too.
+    """
     body, meta = load_checkpoint(path)
-    return {
+    sim = body.get("sim", body) if isinstance(body, dict) else {}
+    info = {
         "path": path,
         "schema": SCHEMA_VERSION,
         "meta": meta,
         "components": [entry["name"]
-                       for entry in body.get("components", ())]
-        if isinstance(body, dict) else [],
+                       for entry in sim.get("components", ())],
         "size_bytes": os.path.getsize(path),
     }
+    if "window" in meta:
+        main = path[:-len(PREV_SUFFIX)] if path.endswith(PREV_SUFFIX) \
+            else path
+        log = MessageLog(message_log_path(main))
+        info["log"] = {"path": log.path, "segments": len(log.segments()),
+                       "bytes": os.path.getsize(log.path)
+                       if os.path.exists(log.path) else 0}
+    return info

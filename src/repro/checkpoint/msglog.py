@@ -1,0 +1,152 @@
+"""Per-job message log: each trace message a job checkpoints, written once.
+
+A job checkpoint (``fleet/worker.py``) does not keep the EMEM FIFO in its
+body.  The FIFO is one contiguous window of the stream of messages the
+EMEM ever stored (see :mod:`repro.ed.emem`), so the body keeps only the
+window's bounds, as positions in this log, and each save appends the
+messages the FIFO took since the previous save as one sealed line — a
+*segment* (:func:`repro.durable.seal_record`)::
+
+    {"_crc32": 123, "after": 5000, "cycle": 10000,
+     "messages": [{...}, ...], "start": 812}
+
+A segment replaces the log's tail from position ``start`` with its
+messages.  Usually ``start`` is where the log ended; a FILL-mode
+calibration shrink drops the newest messages, so a later segment starts
+below that, and a DAP that drained messages no segment held yet makes
+one start above it (no later window reaches below such a start).
+``cycle`` is the save that wrote it and ``after`` the save whose log it
+extends (0: an empty log).
+
+A body names its save's cycle, so a restore follows the ``after`` links
+back from that segment and applies the chain oldest first: it uses only
+segments written for that save or earlier, and one per save, whatever a
+crashed attempt appended later or twice.  A segment the chain needs that
+is missing, torn or damaged raises :class:`CheckpointError`, which
+rejects that body like a damaged one.
+
+The log sits next to ``<job_id>.ckpt`` as ``<job_id>.msglog`` (outside
+the ``*.ckpt`` glob).  Appends hold an exclusive lock on a sidecar, as
+the result store's do: a fenced cluster node or an abandoned pool worker
+may still be appending to the same log.
+"""
+
+from __future__ import annotations
+
+import os
+import warnings
+from typing import Dict, List, NamedTuple
+
+from ..durable import append_line, file_lock, seal_record, unseal_record
+from ..errors import CheckpointError
+
+#: replaces a checkpoint path's ``.ckpt`` extension
+LOG_SUFFIX = ".msglog"
+
+#: the sidecar :func:`repro.durable.file_lock` holds around an append
+LOCK_SUFFIX = ".lock"
+
+
+def message_log_path(checkpoint_path: str) -> str:
+    """The message log that belongs to the checkpoint at ``checkpoint_path``."""
+    return os.path.splitext(checkpoint_path)[0] + LOG_SUFFIX
+
+
+class MessageLog:
+    """One job's message log; counts the bytes this object appended."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.lock_path = path + LOCK_SUFFIX
+        self.appended_bytes = 0
+
+    def append(self, cycle: int, after: int, start: int,
+               messages: List[Dict]) -> int:
+        """Durably append the segment of the save at ``cycle``; returns
+        the bytes written."""
+        line = seal_record({"cycle": cycle, "after": after, "start": start,
+                            "messages": messages})
+        with file_lock(self.lock_path):
+            append_line(self.path, line)
+        self.appended_bytes += len(line) + 1
+        return len(line) + 1
+
+    def segments(self) -> List[Dict]:
+        """Every intact segment, in file order (``[]`` without a log).
+
+        A damaged line is skipped with a warning; so is an unterminated
+        final fragment — a torn tail, or an append in flight.
+        """
+        try:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return []
+        complete, _, partial = data.rpartition(b"\n")
+        segments: List[Dict] = []
+        for line in complete.split(b"\n") if complete else ():
+            try:
+                segments.append(unseal_record(line))
+            except ValueError as exc:
+                warnings.warn(f"message log {self.path}: skipping a damaged "
+                              f"segment ({exc})", RuntimeWarning,
+                              stacklevel=2)
+        if partial:
+            warnings.warn(f"message log {self.path}: ignoring a torn final "
+                          f"segment ({len(partial)} bytes)", RuntimeWarning,
+                          stacklevel=2)
+        return segments
+
+    def window(self, cycle: int, lo: int, hi: int) -> List[Dict]:
+        """Positions ``[lo, hi)`` as the save at ``cycle`` left the log.
+
+        Raises :class:`CheckpointError` when a segment the save's chain
+        needs is missing or damaged, or the chain does not hold the window.
+        """
+        latest: Dict[int, Dict] = {}
+        for segment in self.segments():          # a later copy wins
+            latest[segment["cycle"]] = segment
+        chain: List[Dict] = []
+        at = cycle
+        while at:
+            segment = latest.get(at)
+            if segment is None:
+                raise CheckpointError(
+                    f"message log {self.path} has no intact segment for "
+                    f"the save at cycle {at}")
+            if not 0 <= segment["after"] < at:
+                raise CheckpointError(
+                    f"message log {self.path}: the segment of cycle {at} "
+                    f"extends cycle {segment['after']}")
+            chain.append(segment)
+            at = segment["after"]
+        base, messages = 0, []                   # positions [base, ...)
+        for segment in reversed(chain):
+            start = segment["start"]
+            if base <= start <= base + len(messages):
+                del messages[start - base:]
+                messages.extend(segment["messages"])
+            else:
+                # nothing below ``start`` is in any later window
+                base, messages = start, list(segment["messages"])
+        if not base <= lo <= hi == base + len(messages):
+            raise CheckpointError(
+                f"message log {self.path} holds positions [{base}, "
+                f"{base + len(messages)}) at cycle {cycle}, not the "
+                f"window [{lo}, {hi})")
+        return messages[lo - base:]
+
+
+class Window(NamedTuple):
+    """How a job checkpoint keeps the EMEM FIFO: positions ``[lo, hi)``
+    of a message log, ``hi = start + len(messages)``.
+
+    At a save, ``messages`` are positions ``[start, hi)``: what the log as
+    the save at cycle ``after`` left it lacks.
+    """
+
+    log: MessageLog
+    after: int
+    lo: int
+    start: int
+    messages: List[Dict]

@@ -252,8 +252,11 @@ def cmd_checkpoint(args) -> int:
             print(f"rejected: {exc}")
             return 1
         meta = info["meta"]
+        log = info.get("log")
         print(f"checkpoint {info['path']} (schema {info['schema']}, "
-              f"{info['size_bytes']} bytes)")
+              f"{info['size_bytes']} bytes"
+              + (f"; message log {log['segments']} segments, "
+                 f"{log['bytes']} bytes" if log else "") + ")")
         for key in sorted(meta):
             print(f"  {key:<12}{meta[key]}")
         print(f"  components  {', '.join(info['components'])}")

@@ -17,6 +17,17 @@ span that the profiling layer uses to mark affected windows as degraded.
 Gaps never occupy buffer capacity, so the happy path is byte-identical to
 a model without the accounting.
 
+The FIFO is always one contiguous window of the stream of messages it
+ever took, numbered by position: :meth:`EmulationMemory.store` appends at
+the back; ring eviction, a DAP drain and an injected overrun remove from
+the front; ``trace.corrupt`` changes a message before it is stored, never
+after.  The exceptions are a FILL-mode calibration shrink, which drops
+the *newest* messages so that the next ones take their positions again,
+and a reset, which starts the stream over.  Job checkpoints rely on
+this: :func:`take_fifo` swaps the FIFO in a snapshot for its bounds plus
+the messages a job's message log lacks (:mod:`repro.checkpoint.msglog`),
+and :func:`put_fifo` puts the window back for a restore.
+
 Fault-injection sites (see :mod:`repro.faults`): ``emem.drop``,
 ``emem.overflow``, ``trace.corrupt``.
 """
@@ -50,6 +61,11 @@ class EmulationMemory:
         self.mode = mode
         self.capacity_bits = (total_kb - calibration_kb) * 1024 * 8
         self._fifo: deque = deque()
+        self._head = 0             # stream position of the FIFO's oldest
+        #: messages the FIFO ever took: a job's message log counts what it
+        #: holds by this, so :meth:`reset` (which restarts the positions)
+        #: leaves it alone
+        self.appended = 0
         self.stored_bits = 0
         self.frozen = False
         self._post_trigger_bits: Optional[int] = None
@@ -124,6 +140,7 @@ class EmulationMemory:
             self._note_loss(msg.cycle, "reject")
             return
         self._fifo.append(msg)
+        self.appended += 1
         self.stored_bits += msg.bits
         if not self._evict_to_capacity():
             self._open_gap = None         # a clean store closes any gap
@@ -144,6 +161,7 @@ class EmulationMemory:
                 self._note_loss(dropped.cycle, "reject")
             else:
                 oldest = self._fifo.popleft()
+                self._head += 1
                 self.stored_bits -= oldest.bits
                 self.lost_oldest += 1
                 self._note_loss(oldest.cycle, "wrap")
@@ -157,6 +175,7 @@ class EmulationMemory:
             if not self._fifo:
                 break
             oldest = self._fifo.popleft()
+            self._head += 1
             self.stored_bits -= oldest.bits
             self.injected_drops += 1
             self._note_loss(oldest.cycle, "injected")
@@ -179,6 +198,7 @@ class EmulationMemory:
             bits += msg.bits
             self.stored_bits -= msg.bits
             popped.append(msg)
+        self._head += len(popped)
         return popped, bits
 
     def contents(self) -> List[TraceMessage]:
@@ -238,6 +258,7 @@ class EmulationMemory:
 
     def reset(self) -> None:
         self._fifo.clear()
+        self._head = 0
         self.stored_bits = 0
         self.frozen = False
         self._post_trigger_bits = None
@@ -257,6 +278,8 @@ class EmulationMemory:
             open_gap = self.gaps.index(self._open_gap)
         return {
             "fifo": [msg.to_dict() for msg in self._fifo],
+            "head": self._head,
+            "appended": self.appended,
             "stored_bits": self.stored_bits,
             "frozen": self.frozen,
             "post_trigger_bits": self._post_trigger_bits,
@@ -275,6 +298,8 @@ class EmulationMemory:
     def restore_state(self, state: dict) -> None:
         self._fifo = deque(TraceMessage.from_dict(entry)
                            for entry in state["fifo"])
+        self._head = state["head"]
+        self.appended = state["appended"]
         self.stored_bits = state["stored_bits"]
         self.frozen = state["frozen"]
         self._post_trigger_bits = state["post_trigger_bits"]
@@ -289,3 +314,25 @@ class EmulationMemory:
             else self.gaps[state["open_gap"]]
         self.calibration_kb = state["calibration_kb"]
         self.capacity_bits = state["capacity_bits"]
+
+
+# -- job message log ----------------------------------------------------------
+def take_fifo(state: dict, logged: int) -> Tuple[int, int, List[dict]]:
+    """Take the FIFO out of an EMEM ``snapshot_state()`` for a message log.
+
+    ``logged`` is ``appended`` as of the log's last save.  Returns
+    ``(lo, start, entries)``: the FIFO is stream positions ``[lo, hi)``,
+    and ``entries`` are positions ``[start, hi)``, oldest first — every
+    message the FIFO took since that save and still holds (after a FILL
+    shrink, some older ones too).  The positions in ``[lo, start)`` hold
+    what they held at that save.
+    """
+    fifo = state.pop("fifo")
+    new = min(state["appended"] - logged, len(fifo))
+    return (state["head"], state["head"] + len(fifo) - new,
+            fifo[len(fifo) - new:])
+
+
+def put_fifo(state: dict, entries: List[dict]) -> None:
+    """Inverse of :func:`take_fifo`: ``entries`` are the whole window."""
+    state["fifo"] = entries

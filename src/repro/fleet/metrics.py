@@ -35,6 +35,7 @@ class CampaignMetrics:
     # crash-recovery accounting (only non-zero with --checkpoint-every):
     # the retry budget is measured in lost cycles, not lost jobs
     checkpoint_saves: int = 0
+    checkpoint_bytes: int = 0        # bodies plus message-log segments
     checkpoint_resumes: int = 0      # attempts that resumed mid-run
     cycles_recovered: int = 0        # cycles NOT re-simulated on resume
 
@@ -86,6 +87,7 @@ class CampaignMetrics:
         if not isinstance(stats, dict):
             return
         self.checkpoint_saves += int(stats.get("saves", 0) or 0)
+        self.checkpoint_bytes += int(stats.get("bytes", 0) or 0)
         resumed = int(stats.get("resumed_from_cycle", 0) or 0)
         if resumed > 0:
             self.checkpoint_resumes += 1
@@ -125,7 +127,8 @@ class CampaignMetrics:
         if self.checkpoint_saves or self.checkpoint_resumes:
             rows.append(
                 ("crash recovery",
-                 f"{self.checkpoint_saves} checkpoints / "
+                 f"{self.checkpoint_saves} checkpoints "
+                 f"({self.checkpoint_bytes:,} bytes) / "
                  f"{self.checkpoint_resumes} resumes / "
                  f"{self.cycles_recovered:,} cycles recovered"))
         width = max(len(label) for label, _ in rows) + 2

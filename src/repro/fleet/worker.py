@@ -30,13 +30,15 @@ import traceback
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional
 
-from ..checkpoint import (PREV_SUFFIX, CheckpointError,
-                          load_latest_checkpoint, save_checkpoint)
+from ..checkpoint import (PREV_SUFFIX, CheckpointError, MessageLog, Window,
+                          load_latest_checkpoint, message_log_path,
+                          save_checkpoint)
 from ..core.profiling.export import result_to_dict
 # bench/phases.py wraps worker.result_to_json in a span
 from ..core.profiling.export import result_to_json  # noqa: F401
 from ..core.profiling.session import ProfilingSession
 from ..core.profiling import spec as pspec
+from ..ed.emem import put_fifo, take_fifo
 from ..errors import CampaignStopped, ConfigurationError, FaultInjected
 from ..faults import (FaultInjector, FaultPlan, SimulationWatchdog,
                       active_injector, fault_point)
@@ -102,21 +104,47 @@ def checkpoint_path(checkpoint_dir: str, job: Dict) -> str:
 
 
 def _discard_checkpoints(path: str) -> None:
-    """Remove a finished job's checkpoint (and its rotated fallback)."""
-    for candidate in (path, path + PREV_SUFFIX):
+    """Remove a finished job's checkpoint, its rotated fallback, and the
+    message log (plus lock sidecar) the two share."""
+    log = MessageLog(message_log_path(path))
+    for candidate in (path, path + PREV_SUFFIX, log.path, log.lock_path):
         try:
             os.unlink(candidate)
         except FileNotFoundError:
             pass
 
 
+def _fifo_state(sim_state: Dict) -> Dict:
+    """The EMEM's part of a simulator snapshot (the device attaches it as
+    ``"emem"``)."""
+    return sim_state["extras"]["emem"]
+
+
+def _save(path: str, device, spec: CampaignJob, log: MessageLog,
+          saved: int, logged: int) -> None:
+    """Checkpoint ``device`` at its cycle.  The body keeps the EMEM FIFO's
+    bounds; ``log`` gets the messages the FIFO took since the save at
+    cycle ``saved``, when the FIFO had taken ``logged``."""
+    injector = active_injector()
+    sim = device.soc.sim.snapshot_state()
+    lo, start, messages = take_fifo(_fifo_state(sim), logged)
+    save_checkpoint(path, {
+        "sim": sim,
+        "injector": injector.snapshot_state()
+        if injector is not None else None,
+    }, meta={"kind": "worker", "job_id": spec.job_id,
+             "digest": spec.digest, "cycle": device.cycle},
+        window=Window(log, saved, lo, start, messages))
+
+
 def _try_restore(device, job: Dict, path: str) -> int:
     """Resume ``device`` from the job's latest usable checkpoint.
 
     Returns the cycle the device resumed at, or 0 when no checkpoint
-    exists, none passes its CRC, the digest belongs to a different job
-    spec, or the body does not fit this device — every rejection falls
-    back cleanly (ultimately to cycle 0) instead of raising.
+    exists, none passes its CRC or finds its message log segments, the
+    digest belongs to a different job spec, or the body does not fit this
+    device — every rejection falls back cleanly (ultimately to cycle 0)
+    instead of raising.
     """
     loaded = load_latest_checkpoint(path)
     if loaded is None:
@@ -131,6 +159,7 @@ def _try_restore(device, job: Dict, path: str) -> int:
                 error="digest mismatch: checkpoint was written by a "
                       "different job spec or package version")
         return 0
+    put_fifo(_fifo_state(body["sim"]), body["window"])
     try:
         device.soc.sim.restore_state(body["sim"])
     except CheckpointError as exc:
@@ -159,6 +188,12 @@ def _run_checkpointed(job: Dict, device, checkpoint: Dict,
     recovered from.  A retry finds the file and resumes mid-run — the
     retry budget is measured in lost cycles, not lost jobs.
 
+    The body keeps the EMEM FIFO as its bounds; each save appends only
+    the messages the FIFO took since the previous save to the job's
+    message log (:mod:`repro.checkpoint.msglog`), so a save costs the
+    same early and late in the job.  ``stats["bytes"]`` counts bodies
+    plus segments.
+
     ``should_stop`` is consulted right after each checkpoint lands on
     disk, the one point where stopping loses nothing: a returned reason
     raises :class:`~repro.errors.CampaignStopped` and leaves the
@@ -170,22 +205,25 @@ def _run_checkpointed(job: Dict, device, checkpoint: Dict,
     if every < 1:
         raise ConfigurationError("checkpoint interval must be >= 1 cycle")
     path = checkpoint_path(checkpoint["dir"], job)
-    stats["resumed_from_cycle"] = _try_restore(device, job, path)
+    saved = stats["resumed_from_cycle"] = _try_restore(device, job, path)
     stats.setdefault("saves", 0)
+    stats.setdefault("bytes", 0)
+    log = MessageLog(message_log_path(path))
+    # the last save's cycle and the FIFO's message count as of it: the
+    # next save logs only what came after
+    logged = device.emem.appended if saved else 0
+    body_bytes = 0
     target = int(job["cycles"])
-    digest = CampaignJob.from_dict(job).digest
+    spec = CampaignJob.from_dict(job)
     while device.cycle < target:
         device.run(min(every, target - device.cycle))
         if device.cycle >= target:
             break
-        injector = active_injector()
-        save_checkpoint(path, {
-            "sim": device.soc.sim.snapshot_state(),
-            "injector": injector.snapshot_state()
-            if injector is not None else None,
-        }, meta={"kind": "worker", "job_id": CampaignJob.from_dict(job).job_id,
-                 "digest": digest, "cycle": device.cycle})
+        _save(path, device, spec, log, saved, logged)
+        saved, logged = device.cycle, device.emem.appended
         stats["saves"] += 1
+        body_bytes += os.path.getsize(path)
+        stats["bytes"] = body_bytes + log.appended_bytes
         action = fault_point("worker.crash", job=job["name"],
                              attempt=attempt, phase="checkpoint",
                              cycle=device.cycle)
@@ -291,8 +329,9 @@ def execute_job(job: Dict, attempt: int = 0,
     mid-run checkpoints: the run is chunked every ``every`` cycles and a
     retry of a crashed attempt resumes from the last intact checkpoint
     instead of cycle 0.  ``stats`` (a caller-owned dict) receives the
-    non-deterministic checkpoint accounting — resumed cycle, save count —
-    which must stay *out* of the payload to preserve its byte-identity.
+    non-deterministic checkpoint accounting — resumed cycle, save count,
+    bytes written — which must stay *out* of the payload to preserve its
+    byte-identity.
 
     ``should_stop`` is checked at every checkpoint boundary; a returned
     reason raises :class:`~repro.errors.CampaignStopped` with the job's

@@ -123,7 +123,8 @@ def _register_core_families(reg: MetricsRegistry) -> None:
     reg.counter("repro_checkpoint_writes_total",
                 "checkpoint files written", ("kind",))
     reg.counter("repro_checkpoint_bytes_total",
-                "bytes of checkpoint data written")
+                "bytes of checkpoint data written (bodies plus "
+                "message-log segments)")
     reg.counter("repro_checkpoint_restores_total",
                 "checkpoint restore attempts, by outcome", ("result",))
     # serve (the always-on campaign service)

@@ -17,13 +17,14 @@ import pytest
 
 from repro.checkpoint import (CheckpointError, PREV_SUFFIX, checkpoint_info,
                               load_checkpoint, load_latest_checkpoint,
-                              save_checkpoint)
+                              message_log_path, save_checkpoint)
 from repro.core.profiling import ProfilingSession, spec as pspec
 from repro.durable import seal_record
 from repro.core.profiling.export import result_to_json
-from repro.errors import ReproError
+from repro.errors import CampaignStopped, ReproError
 from repro.faults import FaultInjector, FaultPlan
 from repro.fleet import CampaignJob, run_campaign
+from repro.fleet.worker import checkpoint_path, execute_job
 from repro.fleet.store import ResultStore
 from repro.obs import telemetry
 from repro.soc.config import tc1797_config
@@ -215,6 +216,30 @@ def test_checkpoint_info(tmp_path):
     assert info["meta"]["cycle"] == MID
     assert "tricore" in info["components"]
     assert info["size_bytes"] == os.path.getsize(path)
+    assert "log" not in info
+
+    # a fleet worker's checkpoint: the roster sits under body["sim"] and
+    # the EMEM FIFO in the job's message log
+    job = CampaignJob(name="engine-a", domain="engine", device="tc1797",
+                      cycles=3 * MID)
+    checkpoint = {"dir": str(tmp_path / "jobs"), "every": MID}
+    saves = []
+
+    def stop_at_the_second_save():
+        saves.append(None)
+        return "preempted" if len(saves) == 2 else None
+    with pytest.raises(CampaignStopped):
+        execute_job(job.to_dict(), checkpoint=checkpoint,
+                    should_stop=stop_at_the_second_save)
+    path = checkpoint_path(checkpoint["dir"], job.to_dict())
+    info = checkpoint_info(path)
+    assert info["meta"]["cycle"] == 2 * MID
+    assert "tricore" in info["components"]
+    assert info["size_bytes"] == os.path.getsize(path)
+    log = message_log_path(path)
+    assert info["log"] == {"path": log, "segments": 2,
+                           "bytes": os.path.getsize(log)}
+    assert checkpoint_info(path + PREV_SUFFIX)["log"] == info["log"]
 
 
 # -- fleet: crash-safe campaign persistence ----------------------------------

@@ -3,8 +3,8 @@
 Every JSON format the package persists is one record sealed by
 :func:`repro.durable.seal_record` (a ``_crc32`` over the canonical rest):
 result-store and journal lines, the cluster's lease, fence, manifest,
-plan, batch, done, final and node files, cache entries, checkpoints and
-trace summary sidecars.  Damage detection is therefore tested here once,
+plan, batch, done, final and node files, cache entries, checkpoints,
+checkpoint message-log segments and trace summary sidecars.  Damage detection is therefore tested here once,
 through each format's real writer and real reader:
 
 * the record round-trips;
@@ -15,9 +15,9 @@ through each format's real writer and real reader:
   ``1e-05`` vs ``1E-05``, or a 17th float digit that rounds to the same
   double); the exhaustive sweep over a plain record shows none is
   accepted at all — a damaged ``_crc32`` key included;
-* a torn final line of a line log is skipped and the prefix before it
-  survives, and an append after it loses neither the prefix nor the
-  appended record.
+* a torn final line of a line log (the store, the journal, a message
+  log) is skipped and the prefix before it survives, and an append after
+  it loses neither the prefix nor the appended record.
 
 "Rejected" means the reader's own policy: the store quarantines, the
 journal skips, a lease reads as absent, the cache misses, and the
@@ -35,7 +35,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from repro.checkpoint import (CheckpointError, MessageLog, load_checkpoint,
+                              save_checkpoint)
 from repro.cluster.coordinator import _read_sealed
 from repro.cluster.lease import Lease, LeaseManager
 from repro.durable import CRC_FIELD, atomic_write, seal_record
@@ -105,6 +106,16 @@ def _checkpoint_write(directory, value):
     return save_checkpoint(os.path.join(directory, "x.ckpt"), *value)
 
 
+def _message_log(directory):
+    return MessageLog(os.path.join(directory, "j.msglog"))
+
+
+def _message_log_write(directory, segment):
+    log = _message_log(directory)
+    log.append(**segment)
+    return log.path
+
+
 def _summary_write(directory, body):
     return write_summary(os.path.join(directory, "s.summary.json"), body)
 
@@ -144,6 +155,15 @@ leases = st.builds(Lease, resource=st.just("batch-0000"), node=names,
                    token=tokens, claimed_at=times, expires_at=times,
                    renewals=counts)
 jobs = st.lists(st.just(JOB.to_dict()), max_size=2)
+trace_messages = st.fixed_dictionaries({
+    "kind": names, "cycle": counts, "bits": st.integers(1, 64),
+    "source": st.text(max_size=6), "value": st.integers(0, 2**32),
+    "address": st.none() | st.integers(0, 2**32),
+    "extra": st.dictionaries(st.sampled_from(["tainted", "write", "crc"]),
+                             st.booleans() | counts, max_size=2)})
+segments = st.fixed_dictionaries({
+    "cycle": st.integers(1, 10**6), "after": counts, "start": counts,
+    "messages": st.lists(trace_messages, max_size=3)})
 checkpoints = st.tuples(
     st.dictionaries(names, json_values | st.binary(max_size=8)
                     | st.tuples(counts, counts), max_size=4),
@@ -181,6 +201,13 @@ FORMATS = {
         _rejects(CheckpointError,
                  lambda d: load_checkpoint(os.path.join(d, "x.ckpt"))),
         ({"pc": 42, "regs": (1, 2), "mem": b"\x00\x01"}, {"cycle": 1000})),
+    "message-log": Format(
+        segments, _message_log_write,
+        lambda d: _only(_message_log(d).segments()),
+        {"cycle": 5_000, "after": 0, "start": 0,
+         "messages": [{"kind": "rate", "cycle": 4_990, "bits": 25,
+                       "source": "ipc", "value": 201, "address": None,
+                       "extra": {}}]}),
     "trace-summary": Format(
         objects, _summary_write,
         _rejects(TraceStoreError, lambda d: load_summary(
@@ -218,7 +245,8 @@ for _kind, _fields, _sample in (
                             _read_cluster_file, {"kind": _kind, **_sample})
 
 LOGS = {"store-line": lambda d: ResultStore(d).load(),
-        "journal-line": lambda d: AdmissionJournal(d).replay()}
+        "journal-line": lambda d: AdmissionJournal(d).replay(),
+        "message-log": lambda d: _message_log(d).segments()}
 
 
 # -- helpers -----------------------------------------------------------------
