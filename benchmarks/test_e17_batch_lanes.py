@@ -2,10 +2,11 @@
 
 The batch backend (``repro.batch``) replaces the live measurement plane —
 counter structures, message encoding, EMEM storage, session decode — with
-an emission log per lane plus one vectorized reconstruction pass, and
-fans N same-config portfolio customers into one ``LaneSimulator``.  Its
-advantage therefore *grows with measurement density*: the scalar worker
-pays per sample, the lanes pay (almost) only for the simulation itself.
+an emission log per job plus one vectorized reconstruction pass; the
+fleet worker runs each job as its own one-lane ``LaneSimulator``
+(``run_shard(jobs, backend="batch")``).  Its advantage therefore *grows
+with measurement density*: the scalar worker pays per sample, the lanes
+pay (almost) only for the simulation itself.
 
 Two legs, both through the real fleet worker entry points:
 
@@ -37,8 +38,7 @@ import time
 import pytest
 
 from repro.fleet.spec import build_matrix
-from repro.fleet.worker import (CONFIGS, SCENARIOS, execute_job,
-                                run_batch_shard)
+from repro.fleet.worker import CONFIGS, SCENARIOS, execute_job, run_shard
 from repro.soc.kernel import kernel_mode
 from repro.workloads import CustomerGenerator
 
@@ -84,6 +84,11 @@ def bare_naive_run(jobs):
             device.run(job["cycles"])
 
 
+def run_batch(jobs):
+    """The jobs through the fleet worker on the batch backend."""
+    return run_shard(jobs, backend="batch")
+
+
 def wall_s(func, jobs):
     gc.collect()
     t0 = time.perf_counter()
@@ -99,7 +104,7 @@ def normalised_gate(jobs, batch_s):
     for round_ in range(GATE_ROUNDS):
         naive.append(wall_s(bare_naive_run, jobs))
         if round_ < GATE_ROUNDS - 1:
-            batch.append(wall_s(run_batch_shard, jobs))
+            batch.append(wall_s(run_batch, jobs))
     return {"batch_best_s": min(batch), "naive_s": min(naive),
             "batch_over_naive": min(batch) / min(naive)}
 
@@ -122,7 +127,7 @@ def run_leg(lanes, cycles, ipc_resolution, rate_per, normalise=False):
 
     gc.collect()
     t0 = time.perf_counter()
-    outcomes = run_batch_shard(jobs)
+    outcomes = run_batch(jobs)
     batch_s = time.perf_counter() - t0
 
     assert all(o["status"] == "ok" for o in outcomes)

@@ -781,9 +781,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=256)
     p.add_argument("--backend", choices=("scalar", "batch"),
                    default="scalar",
-                   help="execution backend: 'batch' fans same-config jobs "
-                        "into numpy lane groups with byte-identical "
-                        "payloads (needs the repro[batch] extra; see "
+                   help="execution backend: 'batch' runs each job as a "
+                        "numpy lane that rebuilds its profile from the "
+                        "emission stream, with byte-identical payloads; "
+                        "jobs it cannot model run on the live plane "
+                        "(needs the repro[batch] extra; see "
                         "docs/batch.md)")
     p.add_argument("--workers", type=int, default=4,
                    help="worker processes (0 = in-process, no pool)")

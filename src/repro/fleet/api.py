@@ -59,9 +59,10 @@ class CampaignSpec:
     #: bounds how long the result is worth computing, not what to
     #: compute, so it never feeds cache digests or payload bytes.
     deadline_s: Optional[float] = None
-    #: execution backend: ``"scalar"`` (one job at a time, the live
-    #: measurement plane) or ``"batch"`` (numpy lane groups — same-config
-    #: jobs fanned into one :class:`~repro.batch.LaneSimulator`).  Like
+    #: execution backend: ``"scalar"`` (the live measurement plane) or
+    #: ``"batch"`` (each job a one-lane :class:`~repro.batch.LaneSimulator`
+    #: that rebuilds its profile from the emission stream; the same pool
+    #: shards, and the live plane for a job the lane refuses).  Like
     #: ``deadline_s`` it is not job content: payloads are byte-identical
     #: either way (the batch backend's contract), so it never feeds cache
     #: digests or payload bytes.

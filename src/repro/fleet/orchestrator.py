@@ -56,8 +56,10 @@ from .cache import ResultCache
 from .metrics import CampaignMetrics
 from .spec import CampaignJob, assign_shards
 from .store import ResultStore, job_record
-from .worker import (STOP_REASONS, StopCheck, deadline_stop,
-                     run_batch_shard, run_shard, shard_outcome)
+# the orchestrator calls its own run_shard binding: bench/phases.py wraps
+# worker.run_shard to count other callers
+from .worker import (STOP_REASONS, StopCheck, deadline_stop, run_shard,
+                     shard_outcome)
 
 
 @dataclass
@@ -227,14 +229,13 @@ class CampaignRunner:
     def _run_round(self, shards: List[List[CampaignJob]],
                    attempt: int) -> List[Dict]:
         """Execute one round of shards, surviving pool breakage."""
-        shard_fn = run_batch_shard if self.backend == "batch" else run_shard
         if self.workers == 0:
             outcomes: List[Dict] = []
             for shard in shards:
                 outcomes.extend(
-                    shard_fn([job.to_dict() for job in shard], attempt,
-                             self.fault_plan, self.checkpoint,
-                             self._should_stop))
+                    run_shard([job.to_dict() for job in shard], attempt,
+                              self.fault_plan, self.checkpoint,
+                              self._should_stop, self.backend))
                 # a stopped outcome ends the round: later shards stay
                 # pending (resumable after a preemption, moot after a
                 # deadline)
@@ -246,10 +247,10 @@ class CampaignRunner:
         pool = self._ensure_pool()
         # with workers >= 1 there is no yield callback, so _should_stop is
         # at most the deadline partial, which pickles
-        futures = [(pool.submit(shard_fn,
+        futures = [(pool.submit(run_shard,
                                 [job.to_dict() for job in shard], attempt,
                                 self.fault_plan, self.checkpoint,
-                                self._should_stop),
+                                self._should_stop, self.backend),
                     shard) for shard in shards]
         abandon = False
         for future, shard in futures:
@@ -388,21 +389,8 @@ class CampaignRunner:
             # silently run it
             pending = []
         if pending:
-            if self.backend == "batch":
-                # pack cache-missed jobs into lane groups: every job
-                # sharing a group key rides one worker invocation, so the
-                # lane simulator sees the whole portfolio at once
-                from ..batch import group_key
-                groups: Dict[tuple, List[CampaignJob]] = {}
-                for job in pending:
-                    groups.setdefault(group_key(job.to_dict()),
-                                      []).append(job)
-                shards = list(groups.values())
-            else:
-                n_shards = max(1, min(len(pending),
-                                      max(1, self.workers) * 2))
-                shards = assign_shards(pending, n_shards)
-            outcomes = self._run_round(shards, 0)
+            n_shards = max(1, min(len(pending), max(1, self.workers) * 2))
+            outcomes = self._run_round(assign_shards(pending, n_shards), 0)
             failures = split_fatal(self._absorb(outcomes, records, metrics))
 
         # retry rounds: failed jobs individually, one at a time

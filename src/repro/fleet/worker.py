@@ -15,8 +15,14 @@ error outcomes; one poisoned job never takes down its shard-mates.  (A
 worker process dying outright — the ``exit`` drill — is the orchestrator's
 problem; it shows up there as a broken pool.)
 
+``backend="batch"`` is a per-job measurement mode: the job runs as one
+:mod:`repro.batch` lane, which records the emission stream and rebuilds
+the profile afterwards instead of running the live measurement plane.  A
+job the lane refuses or fails re-runs on the live plane, so the payload
+never depends on the backend.
+
 Stopping early is one contract: a ``should_stop()`` callable, consulted
-before each job or lane group and at every checkpoint or sweep boundary,
+before each job and at every checkpoint or lane stride boundary,
 returns ``None`` to go on or a reason to stop.  The reason becomes the
 outcome status as it is, and the shard ends there.
 """
@@ -274,18 +280,51 @@ def job_payload(job: Dict, device, profile: Dict) -> Dict:
     }
 
 
+def _lane_payload(job: Dict, should_stop: Optional[StopCheck],
+                  tel) -> Optional[Dict]:
+    """The job's payload from a one-lane :func:`~repro.batch.run_lane_group`,
+    or ``None`` when the lane refused the job or raised: the caller then
+    runs it on the live plane.  A stop reason is not a failure and
+    propagates as :class:`~repro.errors.CampaignStopped`."""
+    from ..batch import BatchUnsupported, run_lane_group
+    try:
+        (payload,) = run_lane_group([job], should_stop)
+    except CampaignStopped:
+        raise
+    except Exception as exc:
+        if tel is not None:
+            tel.registry.get("repro_batch_fallbacks_total").labels(
+                "unsupported" if isinstance(exc, BatchUnsupported)
+                else "error").inc()
+        return None
+    if tel is not None:
+        tel.registry.get("repro_batch_lanes_total").inc()
+    return payload
+
+
 def _execute(job: Dict, watchdog_spec: Optional[Dict] = None,
              checkpoint: Optional[Dict] = None,
              stats: Optional[Dict] = None, attempt: int = 0,
-             should_stop: Optional[StopCheck] = None) -> Dict:
-    """Build the device, run the session, build the payload."""
+             should_stop: Optional[StopCheck] = None,
+             backend: str = "scalar") -> Dict:
+    """Build the device, run the session, build the payload.
+
+    A ``"batch"`` job without a checkpoint request runs as one lane
+    first; only when the lane gives no payload does it run here on the
+    live plane."""
     tel = _obs._active
     # a live span only with in-process execution (workers=0) or inside a
     # worker that installed its own telemetry; pool workers inherit none
     span = nullcontext() if tel is None else tel.span(
         "job.execute", cat="fleet", job=job["name"], domain=job["domain"],
         device=job["device"])
-    with span:
+    with span as span_args:
+        if backend == "batch" and not checkpoint:
+            payload = _lane_payload(job, should_stop, tel)
+            if payload is not None:
+                if span_args is not None:
+                    span_args["backend"] = "batch"
+                return payload
         device = build_device(job)
         session = ProfilingSession(device, job_specs(job))
         if checkpoint:
@@ -315,7 +354,8 @@ def execute_job(job: Dict, attempt: int = 0,
                 fault_plan: Optional[Dict] = None,
                 checkpoint: Optional[Dict] = None,
                 stats: Optional[Dict] = None,
-                should_stop: Optional[StopCheck] = None) -> Dict:
+                should_stop: Optional[StopCheck] = None,
+                backend: str = "scalar") -> Dict:
     """Run one campaign job spec (a ``CampaignJob.to_dict()`` dict).
 
     Returns the deterministic result payload (:func:`job_payload`): the
@@ -336,11 +376,16 @@ def execute_job(job: Dict, attempt: int = 0,
     ``should_stop`` is checked at every checkpoint boundary; a returned
     reason raises :class:`~repro.errors.CampaignStopped` with the job's
     checkpoint left on disk for a byte-identical resume.
+
+    ``backend="batch"`` runs the job as one batch lane (see the module
+    docstring), checking ``should_stop`` at every lane stride.  A fault
+    plan or a checkpoint request always runs on the live plane.
     """
     _apply_fault(job.get("fault"), attempt)
     if fault_plan is None:
         return _execute(job, checkpoint=checkpoint, stats=stats,
-                        attempt=attempt, should_stop=should_stop)
+                        attempt=attempt, should_stop=should_stop,
+                        backend=backend)
     plan = fault_plan if isinstance(fault_plan, FaultPlan) \
         else FaultPlan.from_dict(fault_plan)
     with FaultInjector(plan, scope=job["name"]):
@@ -361,7 +406,8 @@ def execute_job(job: Dict, attempt: int = 0,
 def run_shard(jobs: List[Dict], attempt: int = 0,
               fault_plan: Optional[Dict] = None,
               checkpoint: Optional[Dict] = None,
-              should_stop: Optional[StopCheck] = None) -> List[Dict]:
+              should_stop: Optional[StopCheck] = None,
+              backend: str = "scalar") -> List[Dict]:
     """Execute a shard of job specs, isolating failures per job.
 
     Returns one outcome dict per job, in shard order::
@@ -378,11 +424,14 @@ def run_shard(jobs: List[Dict], attempt: int = 0,
     default retry/backoff treatment.
 
     ``should_stop`` is consulted before each job and — via the
-    checkpoint loop — at every checkpoint boundary.  A returned reason
-    ends the shard with a single outcome for the interrupted job whose
-    status is that reason (``"preempted"``, ``"deadline"``); outcomes for
-    jobs that already completed are returned normally, so nothing
-    finished is lost.
+    checkpoint loop or the batch lane — at every checkpoint or stride
+    boundary.  A returned reason ends the shard with a single outcome for
+    the interrupted job whose status is that reason (``"preempted"``,
+    ``"deadline"``); outcomes for jobs that already completed are
+    returned normally, so nothing finished is lost.
+
+    ``backend`` is passed to :func:`execute_job` for every job; an
+    ``"ok"`` payload is byte-identical either way.
     """
     outcomes: List[Dict] = []
     for job in jobs:
@@ -395,7 +444,8 @@ def run_shard(jobs: List[Dict], attempt: int = 0,
         fields: Dict = {}
         try:
             fields["payload"] = execute_job(job, attempt, fault_plan,
-                                            checkpoint, stats, should_stop)
+                                            checkpoint, stats, should_stop,
+                                            backend)
             status = "ok"
         except CampaignStopped as stop:
             status = reason = stop.reason
@@ -413,105 +463,4 @@ def run_shard(jobs: List[Dict], attempt: int = 0,
                                       time.perf_counter() - start, **fields))
         if reason:
             break
-    return outcomes
-
-
-def _note_batch_group(tel, group: List[Dict], wall_s: float) -> None:
-    """Record a completed lane group: counters plus one ``job.execute``
-    span per lane, all covering the group's wall-clock interval.
-
-    Lanes run interleaved inside the sweep, so the honest span for any
-    one lane *is* the whole group interval; the ``backend: "batch"`` arg
-    is how trace queries tell these spans from scalar ones.
-    """
-    reg = tel.registry
-    reg.get("repro_batch_groups_total").labels("ok").inc()
-    reg.get("repro_batch_lanes_total").inc(len(group))
-    now_us = tel.tracer.now_us()
-    wall_us = wall_s * 1e6
-    t0 = max(0.0, now_us - wall_us)
-    for job in group:
-        tel.tracer.complete(
-            "job.execute", t0, now_us - t0, "fleet",
-            args={"job": job["name"], "domain": job["domain"],
-                  "device": job["device"], "backend": "batch",
-                  "lanes": len(group)})
-
-
-def _note_batch_fallback(tel, reason: str) -> None:
-    reg = tel.registry
-    reg.get("repro_batch_fallbacks_total").labels(reason).inc()
-    reg.get("repro_batch_groups_total").labels("fallback").inc()
-
-
-def run_batch_shard(jobs: List[Dict], attempt: int = 0,
-                    fault_plan: Optional[Dict] = None,
-                    checkpoint: Optional[Dict] = None,
-                    should_stop: Optional[StopCheck] = None) -> List[Dict]:
-    """:func:`run_shard` on the batch-lane backend.
-
-    Jobs are grouped by :func:`repro.batch.group_key` (same SoC config,
-    seed, cycle budget, and measurement grid) and each group executes as
-    one :class:`~repro.batch.LaneSimulator` — N portfolio customers per
-    invocation instead of N invocations.  Everything the lanes cannot
-    model falls back to the scalar path with unchanged semantics:
-
-    * a ``fault_plan`` or ``checkpoint`` request routes the whole shard
-      to :func:`run_shard` (injection and mid-run checkpoints are scalar
-      features by contract);
-    * a group the lanes refuse (:class:`~repro.batch.BatchUnsupported`:
-      fault-drill jobs, would-be EMEM overflow, counter saturation) or
-      one that raises mid-sweep re-runs scalar per job, so a poisoned
-      job is isolated exactly as on the scalar path.
-
-    Outcome dicts are shaped exactly like :func:`run_shard`'s, and —
-    the backend's whole contract — an ``"ok"`` payload is byte-identical
-    to the one the scalar worker would have produced.  ``wall_s`` is the
-    group wall clock split evenly across its lanes (wall time never
-    enters payloads, so the split only feeds busy-time metrics).
-    """
-    if fault_plan is not None or checkpoint is not None:
-        return run_shard(jobs, attempt, fault_plan, checkpoint, should_stop)
-    from ..batch import (BatchUnsupported, group_key, require_numpy,
-                         run_lane_group)
-    require_numpy()
-    groups: Dict[tuple, List[Dict]] = {}
-    for job in jobs:
-        groups.setdefault(group_key(job), []).append(job)
-
-    outcomes: List[Dict] = []
-    for group in groups.values():       # first-seen job order
-        reason = should_stop and should_stop()
-        if reason:
-            outcomes.append(shard_outcome(group[0], reason, attempt))
-            break
-        start = time.perf_counter()
-        try:
-            payloads = run_lane_group(group, should_stop)
-        except CampaignStopped as stop:
-            outcomes.append(shard_outcome(group[0], stop.reason, attempt,
-                                          time.perf_counter() - start))
-            break
-        except Exception as exc:
-            # the lanes refused the group up front (nothing ran) or it
-            # failed mid-sweep: either way it re-runs scalar per job, so
-            # an offending job gets its structured error outcome and its
-            # group-mates still complete
-            tel = _obs._active
-            if tel is not None:
-                _note_batch_fallback(tel, "unsupported" if isinstance(
-                    exc, BatchUnsupported) else "error")
-            outcomes.extend(run_shard(group, attempt,
-                                      should_stop=should_stop))
-            if outcomes[-1]["status"] in STOP_REASONS:
-                break
-            continue
-        group_wall = time.perf_counter() - start
-        tel = _obs._active
-        if tel is not None:
-            _note_batch_group(tel, group, group_wall)
-        wall = group_wall / len(group)
-        outcomes.extend(shard_outcome(job, "ok", attempt, wall,
-                                      payload=payload)
-                        for job, payload in zip(group, payloads))
     return outcomes

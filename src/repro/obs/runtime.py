@@ -84,18 +84,15 @@ def _register_core_families(reg: MetricsRegistry) -> None:
     reg.counter("repro_trace_store_bytes_total",
                 "bytes appended to trace-store segments")
     # batch-lane backend
-    reg.counter("repro_batch_groups_total",
-                "lane groups executed by the batch backend, by outcome "
-                "(ok/fallback)", ("status",))
     reg.counter("repro_batch_lanes_total",
-                "portfolio lanes executed on the batch backend")
+                "jobs executed as batch lanes")
     reg.counter("repro_batch_strides_total",
-                "lockstep sweep strides executed across all lane groups")
+                "sweep strides executed by batch lanes")
     reg.counter("repro_batch_sweep_cycles_total",
                 "cycles simulated inside batch lane sweeps")
     reg.counter("repro_batch_fallbacks_total",
-                "lane groups re-routed to the scalar path, by reason",
-                ("reason",))
+                "batch-backend jobs re-run on the live measurement plane, "
+                "by reason", ("reason",))
     # faults
     reg.counter("repro_faults_injected_total",
                 "faults injected, by site", ("site",))

@@ -6,9 +6,10 @@ The backend's contract (docs/batch.md) in unit-test form:
   simulated SoC and the measurement grid — never by customer program;
 * an ``"ok"`` payload from the lanes is byte-identical (canonical JSON)
   to the scalar worker's payload for the same job;
-* anything the lanes cannot model — fault drills, mixed configurations —
-  refuses loudly or falls back to the scalar path with unchanged
-  semantics, never silently diverges;
+* anything the lanes cannot model — fault drills, fault plans,
+  checkpoints, EMEM overflow, mixed configurations — refuses loudly or
+  runs that one job on the live plane with unchanged semantics, never
+  silently diverges;
 * numpy is an optional extra: without it the scalar path still works and
   the batch backend fails at admission with an actionable message.
 """
@@ -23,9 +24,11 @@ import repro
 from repro.batch import (HAVE_NUMPY, BatchUnsupported, LaneSimulator,
                          group_key, run_lane_group)
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan
 from repro.fleet import CampaignJob, CampaignSpec, run_campaign
 from repro.fleet.spec import canonical_json
-from repro.fleet.worker import run_batch_shard, run_shard
+from repro.fleet.worker import run_shard
+from repro.obs import telemetry
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
                                  reason="numpy extra not installed")
@@ -104,13 +107,24 @@ def test_fault_drill_is_batch_unsupported():
         run_lane_group([job("a"), job("drill", fault="crash")])
 
 
+def assert_same_outcomes(batch, scalar):
+    """Outcome by outcome: status, canonical payload bytes, error."""
+    assert [o["job"]["name"] for o in batch] == \
+        [o["job"]["name"] for o in scalar]
+    for outcome, reference in zip(batch, scalar):
+        assert outcome["status"] == reference["status"]
+        if outcome["status"] == "ok":
+            assert canonical_json(outcome["payload"]) == \
+                canonical_json(reference["payload"])
+        assert outcome.get("error") == reference.get("error")
+
+
 @needs_numpy
-def test_run_batch_shard_matches_scalar_outcomes():
-    # two lane groups (different seeds) plus a fault job that forces the
-    # scalar fallback for its whole group
+def test_batch_backend_shard_matches_scalar_outcomes():
+    # two seeds plus a fault-drill job
     jobs = [job("a1"), job("a2", domain="transmission"),
             job("b1", seed=SEED + 1), job("drill", fault="crash")]
-    batch = run_batch_shard([dict(j) for j in jobs])
+    batch = run_shard([dict(j) for j in jobs], backend="batch")
     scalar = run_shard([dict(j) for j in jobs])
     by_name = {o["job"]["name"]: o for o in scalar}
     assert len(batch) == len(scalar)
@@ -125,10 +139,82 @@ def test_run_batch_shard_matches_scalar_outcomes():
 
 
 @needs_numpy
-def test_run_batch_shard_preempts_at_group_boundary():
-    outcomes = run_batch_shard([job("a"), job("b")],
-                               should_stop=lambda: "preempted")
+def test_batch_backend_shard_preempts_at_job_boundary():
+    outcomes = run_shard([job("a"), job("b")],
+                         should_stop=lambda: "preempted", backend="batch")
     assert [o["status"] for o in outcomes] == ["preempted"]
+
+
+def stop_on_call(n):
+    """A ``should_stop`` that returns ``"preempted"`` on its ``n``-th call."""
+    calls = []
+
+    def should_stop():
+        calls.append(None)
+        return "preempted" if len(calls) == n else None
+    return should_stop
+
+
+#: long enough for three lane strides (8192 cycles each)
+LONG = 20_000
+#: a fine-grid job whose capture outgrows the EMEM trace share
+OVERFLOW = dict(cycles=40_000, ipc_resolution=32, rate_per=1)
+EMEM_DROP = FaultPlan(rules=(
+    {"site": "emem.drop", "probability": 0.3},)).to_dict()
+
+#: id -> (jobs, run_shard kwargs given tmp_path, the scalar reference's
+#: kwargs (None: the same), fallbacks by reason, jobs run as lanes)
+PER_JOB_CASES = {
+    "drill-crash": (
+        [job("a"), job("drill", fault="crash"), job("b")],
+        lambda tmp: {}, None, {}, 2),
+    "drill-flaky-first-attempt": (
+        [job("flaky", fault="flaky:1")], lambda tmp: {}, None, {}, 0),
+    "drill-flaky-retry": (
+        [job("flaky", fault="flaky:1")], lambda tmp: {"attempt": 1}, None,
+        {"unsupported": 1}, 0),
+    "fault-plan": (
+        [job("a"), job("b")], lambda tmp: {"fault_plan": EMEM_DROP}, None,
+        {}, 0),
+    "checkpoint": (
+        [job("a")], lambda tmp: {"checkpoint": {
+            "dir": str(tmp / "checkpoints"), "every": 2_000}}, None, {}, 0),
+    "emem-overflow": (
+        [job("a"), job("fine", **OVERFLOW)], lambda tmp: {}, None,
+        {"unsupported": 1}, 1),
+    # call 1 is run_shard's before job a, calls 2 and 3 the lane's before
+    # its first and second strides; the scalar reference stops before a
+    "stop-between-strides": (
+        [job("a", cycles=LONG), job("b", cycles=LONG)],
+        lambda tmp: {"should_stop": stop_on_call(3)},
+        {"should_stop": lambda: "preempted"}, {}, 0),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", sorted(PER_JOB_CASES))
+def test_batch_backend_falls_back_per_job(case, tmp_path):
+    jobs, kwargs, reference, fallbacks, lanes = PER_JOB_CASES[case]
+    with telemetry() as tel:
+        batch = run_shard([dict(j) for j in jobs], backend="batch",
+                          **kwargs(tmp_path))
+        reg = tel.registry
+        for reason in ("unsupported", "error"):
+            assert reg.get("repro_batch_fallbacks_total").value(reason) \
+                == fallbacks.get(reason, 0), reason
+        assert reg.get("repro_batch_lanes_total").value() == lanes
+        strides = reg.get("repro_batch_strides_total").value()
+    scalar = run_shard([dict(j) for j in jobs],
+                       **(kwargs(tmp_path) if reference is None
+                          else reference))
+    assert_same_outcomes(batch, scalar)
+    if case == "checkpoint":
+        # the live plane ran it: checkpoint saves as on the scalar path
+        assert batch[0]["checkpoint"]["saves"] == \
+            scalar[0]["checkpoint"]["saves"] > 0
+    if case == "stop-between-strides":
+        assert [o["status"] for o in batch] == ["preempted"]
+        assert strides == 1     # stopped between the first two strides
 
 
 # -- CampaignSpec / runner wiring --------------------------------------------

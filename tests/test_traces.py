@@ -505,7 +505,7 @@ def test_trace_store_metrics_count_flushes(tmp_path):
 def test_batch_backend_spans_and_metrics(tmp_path):
     pytest.importorskip("numpy")
     from repro.fleet.spec import CampaignJob
-    from repro.fleet.worker import run_batch_shard
+    from repro.fleet.worker import run_shard
 
     jobs = [CampaignJob(name=f"c{i}", domain="engine", device="tc1797",
                         params={}, cycles=CYCLES, seed=SEED).to_dict()
@@ -513,10 +513,9 @@ def test_batch_backend_spans_and_metrics(tmp_path):
     path = str(tmp_path / "batch.rtrace")
     with telemetry(run_id="batch") as tel:
         with traces.recording(tel, path):
-            outcomes = run_batch_shard(jobs)
+            outcomes = run_shard(jobs, backend="batch")
         reg = tel.registry
         assert all(o["status"] == "ok" for o in outcomes)
-        assert reg.get("repro_batch_groups_total").value('ok') == 1
         assert reg.get("repro_batch_lanes_total").value() == 3
         assert reg.get("repro_batch_strides_total").value() >= 1
         assert reg.get("repro_batch_sweep_cycles_total").value() == 3 * CYCLES
@@ -524,7 +523,7 @@ def test_batch_backend_spans_and_metrics(tmp_path):
     assert summary["by_name"]["batch.stride"]["count"] >= 1
     assert summary["by_name"]["batch.reconstruct"]["count"] == 3
     assert summary["by_name"]["job.execute"]["count"] == 3
-    # per-lane job spans carry the backend tag
+    # lane-run job spans carry the backend tag
     result = traces.query_segment(path, traces.TraceQuery(
         names=("job.execute",)))
     assert all(e["args"]["backend"] == "batch" for e in result.events)
@@ -533,17 +532,16 @@ def test_batch_backend_spans_and_metrics(tmp_path):
 def test_batch_fallback_counts_reason(tmp_path):
     pytest.importorskip("numpy")
     from repro.fleet.spec import CampaignJob
-    from repro.fleet.worker import run_batch_shard
+    from repro.fleet.worker import run_shard
 
     jobs = [CampaignJob(name="flaky", domain="engine", device="tc1797",
                         params={}, cycles=CYCLES, seed=SEED,
                         fault="flaky:0").to_dict()]
     with telemetry() as tel:
-        outcomes = run_batch_shard(jobs)
+        outcomes = run_shard(jobs, backend="batch")
         assert outcomes[0]["status"] == "ok"   # scalar fallback ran it
         reg = tel.registry
         assert reg.get("repro_batch_fallbacks_total").value('unsupported') == 1
-        assert reg.get("repro_batch_groups_total").value('fallback') == 1
 
 
 # -- CLI ---------------------------------------------------------------------
