@@ -4,8 +4,9 @@ The robustness claim of ``repro.faults``: a profiling campaign running
 under an adversarial fault plan — transient worker crashes, short hangs,
 one permanently poisoned job — still converges, quarantines exactly the
 poisoned job, and produces byte-identical payloads for every surviving
-job.  The retry/backoff machinery absorbs the injected chaos; determinism
-absorbs nothing less than everything else.
+job.  The retry policy (``repro.fleet.worker.should_retry``: a retryable
+failure runs again at once, within the retry budget) absorbs the injected
+chaos; determinism absorbs nothing less than everything else.
 """
 
 import json
@@ -60,7 +61,7 @@ def run_experiment():
         clean_wall = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        chaos = run_campaign(jobs, workers=WORKERS, backoff_s=0.05,
+        chaos = run_campaign(jobs, workers=WORKERS,
                              campaign_dir=f"{root}/chaos",
                              fault_plan=plan.to_dict())
         chaos_wall = time.perf_counter() - t0
@@ -68,7 +69,7 @@ def run_experiment():
         # third lane: the same chaos plus checkpoint-targeted faults,
         # with periodic checkpoints absorbing the mid-run crashes
         t0 = time.perf_counter()
-        ckpt = run_campaign(jobs, workers=WORKERS, backoff_s=0.05,
+        ckpt = run_campaign(jobs, workers=WORKERS,
                             campaign_dir=f"{root}/ckpt",
                             checkpoint_every=CYCLES // 4,
                             fault_plan=checkpoint_chaos_plan(plan))

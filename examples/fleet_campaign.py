@@ -34,8 +34,7 @@ def main():
                                seed=9, fault="crash")]
 
     report = run_campaign(jobs, workers=4, cache_dir=CACHE_DIR,
-                          campaign_dir=CAMPAIGN_DIR, max_retries=1,
-                          backoff_s=0.05)
+                          campaign_dir=CAMPAIGN_DIR, max_retries=1)
 
     print("campaign metrics:")
     print(report.metrics.summary_table())

@@ -102,6 +102,8 @@ def submit(cluster_dir: str, jobs: List[CampaignJob],
             "kill every node that claims it")
     if checkpoint_every < 1:
         raise ConfigurationError("checkpoint_every must be >= 1 cycle")
+    if max_retries < 0:
+        raise ConfigurationError("max_retries must be >= 0")
     if batches is None:
         batches = min(len(jobs), 8)
     if batches < 1:

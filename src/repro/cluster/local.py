@@ -60,28 +60,17 @@ def spawn_node(cluster_dir: str, node_id: str,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
-def fold_report(cluster_dir: str, nodes: int = 1) -> CampaignReport:
-    """Reduce the shared store to a single-node-shaped campaign report."""
+def fold_report(cluster_dir: str, nodes: int = 1,
+                wall_s: float = 0.0) -> CampaignReport:
+    """Reduce the shared store to a single-node-shaped campaign report;
+    ``wall_s`` is the campaign's wall clock, measured by the caller."""
     manifest = load_manifest(cluster_dir)
     store = ResultStore(cluster_dir)
     records = dedupe_records(store.load())
     metrics = CampaignMetrics(total_jobs=len(manifest["jobs"]),
-                              workers=max(1, nodes))
+                              workers=max(1, nodes), wall_s=wall_s)
     for record in records:
-        if record.get("status") == "quarantined":
-            metrics.quarantined += 1
-            continue
-        source = record.get("source", "executed")
-        if source == "cache":
-            metrics.cache_hits += 1
-        elif source == "resumed":
-            metrics.resumed += 1
-        else:
-            metrics.executed += 1
-        metrics.retries += max(0, int(record.get("attempts", 1)) - 1)
-        metrics.busy_s += float(record.get("wall_s", 0.0))
-        metrics.job_walls.append(float(record.get("wall_s", 0.0)))
-        metrics.note_payload(record.get("payload") or {})
+        metrics.note_record(record)
     report = CampaignReport(records=records, metrics=metrics,
                             store_path=store.path)
     if is_final(cluster_dir):
@@ -116,6 +105,7 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
     debuggable, and still exercising the full lease/fence protocol
     (tests and ``--nodes 0`` use it).
     """
+    start = time.perf_counter()
     if jobs is not None:
         submit(cluster_dir, list(jobs), batches=batches,
                checkpoint_every=checkpoint_every, max_retries=max_retries,
@@ -124,7 +114,8 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
         load_manifest(cluster_dir)     # fail fast on an empty dir
     if nodes == 0:
         ClusterNode(cluster_dir, node_id="node-local", ttl_s=ttl_s).run()
-        return fold_report(cluster_dir, nodes=1)
+        return fold_report(cluster_dir, nodes=1,
+                           wall_s=time.perf_counter() - start)
     if nodes < 1:
         raise ConfigurationError("cluster needs nodes >= 1 (0 = in-process)")
     procs = [spawn_node(cluster_dir, f"node-{index}", ttl_s=ttl_s)
@@ -152,4 +143,5 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
         for proc in procs:
             if proc.poll() is None:    # pragma: no cover - defensive
                 proc.kill()
-    return fold_report(cluster_dir, nodes=nodes)
+    return fold_report(cluster_dir, nodes=nodes,
+                       wall_s=time.perf_counter() - start)

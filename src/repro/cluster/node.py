@@ -29,6 +29,7 @@ of burning through the retry budget of every batch in the plan.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from functools import partial
@@ -39,7 +40,10 @@ from ..errors import CampaignStopped, StaleLeaseError
 from ..fleet.cache import ResultCache
 from ..fleet.spec import CampaignJob
 from ..fleet.store import ResultStore, job_record
-from ..fleet.worker import StopCheck, execute_job
+# bench/phases.py patches node.execute_job; jobs run through run_shard,
+# this module's own binding (bench wraps worker.run_shard)
+from ..fleet.worker import execute_job  # noqa: F401
+from ..fleet.worker import StopCheck, run_shard, should_retry
 from ..obs import runtime as _obs
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.journal import AdmissionJournal
@@ -131,9 +135,8 @@ class ClusterNode:
         ``"fenced"`` or ``None``.
 
         With ``holder`` (a one-element list with the batch lease) it is
-        also the heartbeat the fleet worker calls at every checkpoint
-        boundary, and the retry loop before every attempt: renew the
-        lease and beat.  A refused renewal means the batch migrated —
+        also the heartbeat the fleet worker calls before every attempt
+        and at every checkpoint boundary: renew the lease and beat.  A refused renewal means the batch migrated —
         ``"fenced"`` at the point where the checkpoint just written is
         exactly what the new holder resumes from.
         """
@@ -187,40 +190,33 @@ class ClusterNode:
 
         Raises :class:`~repro.errors.CampaignStopped` with the reason
         when ``should_stop`` returns one.  Retries stay *inside* the
-        lease: each attempt starts by renewing, so a retry loop can never
-        outlive the node's claim.
+        lease: each attempt is a one-job ``run_shard``, which consults
+        ``should_stop`` (renewing the lease) first, so a retry loop can
+        never outlive the node's claim.  :func:`should_retry` decides,
+        as in the pool runner.
         """
         job = CampaignJob.from_dict(job_dict)
-        max_retries = int(self.manifest["max_retries"])
-        last_error = "unknown"
-        attempts = 0
-        start = time.perf_counter()
-        for attempt in range(max_retries + 1):
-            reason = should_stop()
-            if reason:
-                raise CampaignStopped(reason)
-            attempts = attempt + 1
-            stats: Dict = {}
-            try:
-                payload = execute_job(
-                    job_dict, attempt, self.manifest.get("fault_plan"),
-                    self.checkpoint, stats, should_stop)
-            except CampaignStopped:
-                raise
-            except Exception as exc:
-                last_error = f"{type(exc).__name__}: {exc}"
-                self.breaker.record_failure()
-                if not getattr(exc, "retryable", True):
-                    break              # deterministic: retries can't help
-                continue
-            self.breaker.record_success()
-            if stats.get("resumed_from_cycle"):
-                self._emit("node.job.migrated", job_id=job.job_id,
-                           resumed_from_cycle=stats["resumed_from_cycle"])
-            return job_record(job, "ok", "executed", attempts,
-                              time.perf_counter() - start, payload=payload)
-        return job_record(job, "quarantined", "executed", attempts,
-                          time.perf_counter() - start, error=last_error)
+        wall_s = 0.0
+        for attempt in itertools.count():
+            (outcome,) = run_shard([job_dict], attempt,
+                                   self.manifest.get("fault_plan"),
+                                   self.checkpoint, should_stop)
+            wall_s += outcome["wall_s"]
+            if outcome["status"] == "ok":
+                self.breaker.record_success()
+                resumed = outcome["checkpoint"].get("resumed_from_cycle")
+                if resumed:
+                    self._emit("node.job.migrated", job_id=job.job_id,
+                               resumed_from_cycle=resumed)
+                return job_record(job, "ok", "executed", attempt + 1,
+                                  wall_s, payload=outcome["payload"])
+            if outcome["status"] != "error":
+                raise CampaignStopped(outcome["status"])
+            self.breaker.record_failure()
+            if not should_retry(outcome, self.manifest["max_retries"]):
+                return job_record(job, "quarantined", "executed",
+                                  attempt + 1, wall_s,
+                                  error=outcome["error"])
 
     def _commit(self, record: Dict, lease: Lease) -> None:
         """Fenced append: verify-the-lease-then-write, atomically."""

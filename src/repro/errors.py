@@ -11,8 +11,8 @@ The ``retryable`` attribute is the contract with the fleet's retry logic:
 a deterministic model error (bad configuration, a hard cycle deadline, an
 exhausted hardware resource) can never succeed on a retry and is
 quarantined immediately, while transient conditions (injected faults,
-wall-clock watchdog expiry under host load) keep following the normal
-retry/backoff path.
+wall-clock watchdog expiry under host load) are retried
+(:func:`repro.fleet.worker.should_retry`).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The paper's architect optimizes for a *population* of customers
 (Section 4); this package runs that population as a campaign: a matrix of
 (customer x device config x parameter set x cycle budget) jobs fanned out
 over a fault-tolerant process pool, with deterministic sharding, a
-content-addressed result cache, retry-with-backoff plus poison-job
-quarantine, a JSONL result store with resume, and campaign metrics.
+content-addressed result cache, immediate retries plus poison-job
+quarantine under the retry policy the cluster shares, a JSONL result
+store with resume, and campaign metrics.
 
 Results are bit-identical to the sequential path regardless of worker
 count — parallelism changes the wall clock, never the science.

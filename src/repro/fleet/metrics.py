@@ -66,6 +66,27 @@ class CampaignMetrics:
         """
         return self.sim_cycles / self.busy_s if self.busy_s > 0 else 0.0
 
+    def note_record(self, record: Dict) -> None:
+        """Fold in one job record, the tally of both executors.  An
+        executed record's ``wall_s`` covers all of its attempts, and its
+        attempts after the first are ``retries``."""
+        executed = record["source"] == "executed"
+        if executed:
+            self.retries += record["attempts"] - 1
+            self.busy_s += record["wall_s"]
+        if record["status"] != "ok":
+            self.quarantined += 1
+            return
+        if executed:
+            self.executed += 1
+            self.job_walls.append(record["wall_s"])
+            self.sim_cycles += int(record["payload"].get("sim_cycles", 0))
+        elif record["source"] == "cache":
+            self.cache_hits += 1
+        else:
+            self.resumed += 1
+        self.note_payload(record["payload"])
+
     def note_payload(self, payload: Dict) -> None:
         """Fold one completed job payload into the degradation counters.
 

@@ -7,10 +7,12 @@ Execution model
   and each shard is one ``run_shard`` task on a ``ProcessPoolExecutor``.
   Workers isolate failures per job, so a raising job returns a structured
   error outcome instead of killing its shard.
-* Failed jobs are retried with exponential backoff, one single-job shard
-  at a time (so a poison job can only hurt itself).  A job that exhausts
-  its retry budget is **quarantined**: recorded with its error and
-  excluded from the aggregate, while every other job completes normally.
+* Failed jobs are retried at once, one single-job shard at a time (so a
+  poison job can only hurt itself), for as long as
+  :func:`~repro.fleet.worker.should_retry` allows — the policy the
+  cluster node shares.  A job it refuses is **quarantined**: recorded
+  with its error and excluded from the aggregate, while every other job
+  completes normally.
 * A worker process dying outright (or a shard exceeding its timeout)
   breaks the pool; the orchestrator records synthetic failures for the
   affected shard, abandons the pool, and continues on a fresh one.
@@ -37,10 +39,9 @@ content-derived job id with timing metadata excluded.
 
 from __future__ import annotations
 
+import itertools
 import os
-import random
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
     FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -59,7 +60,7 @@ from .store import ResultStore, job_record
 # the orchestrator calls its own run_shard binding: bench/phases.py wraps
 # worker.run_shard to count other callers
 from .worker import (STOP_REASONS, StopCheck, deadline_stop, run_shard,
-                     shard_outcome)
+                     shard_outcome, should_retry)
 
 
 @dataclass
@@ -101,8 +102,6 @@ class CampaignRunner:
                  cache_dir: Optional[str] = None,
                  campaign_dir: Optional[str] = None,
                  max_retries: int = 2,
-                 backoff_s: float = 0.25,
-                 max_backoff_s: float = 5.0,
                  timeout_s: Optional[float] = None,
                  resume: bool = False,
                  fault_plan: Optional[Dict] = None,
@@ -146,17 +145,9 @@ class CampaignRunner:
             cache_dir = None
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.store = ResultStore(campaign_dir) if campaign_dir else None
+        if max_retries < 0:
+            raise ConfigurationError("max_retries must be >= 0")
         self.max_retries = max_retries
-        if max_backoff_s < 0:
-            raise ConfigurationError("max_backoff_s must be >= 0")
-        self.backoff_s = backoff_s
-        self.max_backoff_s = max_backoff_s
-        # full-jitter retry backoff, seeded from the (stable) job matrix
-        # rather than the global RNG: a retried campaign draws the same
-        # delays every run, so nothing about campaign artifacts — which
-        # never include wall clock anyway — can drift between repeats
-        self._backoff_rng = random.Random(zlib.crc32(
-            ",".join(job.job_id for job in self.jobs).encode("utf-8")))
         self.timeout_s = timeout_s
         self.resume = resume
         self.should_yield = should_yield
@@ -208,17 +199,6 @@ class CampaignRunner:
         if self.timeout_s is None:
             return None
         return self.timeout_s * len(shard)
-
-    def _backoff_delay(self, attempt: int) -> float:
-        """Full-jitter exponential backoff with a hard cap.
-
-        ``uniform(0, min(cap, base * 2^(attempt-1)))`` — the AWS full-
-        jitter form: retry storms decorrelate instead of thundering in
-        lockstep, and a large retry budget can never sleep unboundedly.
-        """
-        ceiling = min(self.max_backoff_s,
-                      self.backoff_s * (2 ** (attempt - 1)))
-        return self._backoff_rng.uniform(0.0, ceiling)
 
     def _stopped(self) -> bool:
         """Consult ``should_stop`` between rounds; True once stopped."""
@@ -272,11 +252,9 @@ class CampaignRunner:
 
     # -- record plumbing -----------------------------------------------------
     def _finish(self, job: CampaignJob, record: Dict,
-                records: Dict[str, Dict],
-                metrics: Optional[CampaignMetrics] = None) -> None:
+                records: Dict[str, Dict], metrics: CampaignMetrics) -> None:
         records[job.job_id] = record
-        if metrics is not None and record["status"] == "ok":
-            metrics.note_payload(record["payload"])
+        metrics.note_record(record)
         if self.store is not None:
             self.store.append(record)
         tel = _obs._active
@@ -353,7 +331,6 @@ class CampaignRunner:
             self.store.clear()
         for record in prior:
             job = by_id[record["job_id"]]
-            metrics.resumed += 1
             self._finish(job, job_record(
                 job, "ok", "resumed", record.get("attempts", 1), 0.0,
                 payload=record["payload"]), records, metrics)
@@ -364,7 +341,6 @@ class CampaignRunner:
                 continue
             payload = self.cache.lookup(job)
             if payload is not None:
-                metrics.cache_hits += 1
                 self._finish(job, job_record(job, "ok", "cache", 0, 0.0,
                                              payload=payload),
                              records, metrics)
@@ -373,17 +349,6 @@ class CampaignRunner:
 
         # round 0: deterministic shards over the pool
         failures: Dict[str, Dict] = {}
-        fatal: Dict[str, Dict] = {}
-
-        def split_fatal(failed: Dict[str, Dict]) -> Dict[str, Dict]:
-            # deterministic failures (retryable=False) skip the retry
-            # rounds — backoff cannot fix a configuration error or a
-            # cycle-deadline watchdog, so they quarantine immediately
-            for job_id in list(failed):
-                if not failed[job_id].get("retryable", True):
-                    fatal[job_id] = failed.pop(job_id)
-            return failed
-
         if pending and self._stopped():
             # stale (or yielding) before a single job ran — never
             # silently run it
@@ -391,26 +356,23 @@ class CampaignRunner:
         if pending:
             n_shards = max(1, min(len(pending), max(1, self.workers) * 2))
             outcomes = self._run_round(assign_shards(pending, n_shards), 0)
-            failures = split_fatal(self._absorb(outcomes, records, metrics))
+            failures = self._absorb(outcomes, records, metrics)
 
-        # retry rounds: failed jobs individually, one at a time
-        for attempt in range(1, self.max_retries + 1):
-            if not failures or self._stopped():
+        # retry rounds: each failure should_retry allows runs again at
+        # once, alone in a single-job shard; the rest stay failed
+        for attempt in itertools.count(1):
+            retry = sorted(job_id for job_id, outcome in failures.items()
+                           if should_retry(outcome, self.max_retries))
+            if not retry or self._stopped():
                 break
-            time.sleep(self._backoff_delay(attempt))
-            if self._stopped():
-                break
-            metrics.retries += len(failures)
             if tel is not None:
-                tel.emit("round.retry", attempt=attempt,
-                         jobs=sorted(failures, key=str))
-            retry_jobs = sorted(failures, key=str)
+                tel.emit("round.retry", attempt=attempt, jobs=retry)
+            retried = {job_id: failures.pop(job_id) for job_id in retry}
             outcomes = []
-            for job_id in retry_jobs:
-                outcomes.extend(
-                    self._run_round([[by_id[job_id]]], attempt))
-            failures = split_fatal(self._absorb(outcomes, records, metrics,
-                                                prior_failures=failures))
+            for job_id in retry:
+                outcomes.extend(self._run_round([[by_id[job_id]]], attempt))
+            failures.update(self._absorb(outcomes, records, metrics,
+                                         retried))
 
         # whatever still fails is quarantined — the campaign survives it.
         # Under preemption nothing is quarantined: unfinished jobs (and
@@ -418,13 +380,9 @@ class CampaignRunner:
         # a deadline nothing is quarantined either — the submission is
         # terminal, and "didn't finish in time" is not a job defect.
         stopped_early = self._stop_reason is not None
-        leftovers = {} if stopped_early else dict(fatal)
-        if not stopped_early:
-            leftovers.update(failures)
-        for job_id in sorted(leftovers):
-            outcome = leftovers[job_id]
+        for job_id in [] if stopped_early else sorted(failures):
+            outcome = failures[job_id]
             job = by_id[job_id]
-            metrics.quarantined += 1
             if tel is not None:
                 tel.instant("job.quarantined", cat="fleet",
                             job_id=job.job_id, error=outcome["error"])
@@ -487,12 +445,12 @@ class CampaignRunner:
                 metrics: CampaignMetrics,
                 prior_failures: Optional[Dict[str, Dict]] = None
                 ) -> Dict[str, Dict]:
-        """Fold a round's outcomes into records; return remaining failures."""
+        """Fold a round's outcomes into records; return its failures.  A
+        record's ``wall_s`` adds the job's ``prior_failures`` walls."""
         failures: Dict[str, Dict] = {}
         tel = _obs._active
         for outcome in outcomes:
             job = CampaignJob.from_dict(outcome["job"])
-            metrics.busy_s += outcome["wall_s"]
             if "checkpoint" in outcome:
                 metrics.note_checkpoint(outcome["checkpoint"])
             if outcome["status"] in STOP_REASONS:
@@ -513,20 +471,15 @@ class CampaignRunner:
                 # job spans are retro-emitted here from the reported
                 # in-worker wall clock (workers=0 records live spans)
                 self._retro_span(tel, job, outcome)
+            wall_s = outcome["wall_s"]
+            if prior_failures and job.job_id in prior_failures:
+                wall_s += prior_failures[job.job_id]["wall_s"]
             if outcome["status"] == "ok":
-                metrics.executed += 1
-                metrics.job_walls.append(outcome["wall_s"])
-                metrics.sim_cycles += int(
-                    outcome["payload"].get("sim_cycles", 0))
                 if self.cache is not None:
                     self.cache.store(job, outcome["payload"])
                 self._finish(job, job_record(
-                    job, "ok", "executed", outcome["attempt"] + 1,
-                    outcome["wall_s"], payload=outcome["payload"]), records,
-                    metrics)
+                    job, "ok", "executed", outcome["attempt"] + 1, wall_s,
+                    payload=outcome["payload"]), records, metrics)
             else:
-                carried = dict(outcome)
-                if prior_failures and job.job_id in prior_failures:
-                    carried["wall_s"] += prior_failures[job.job_id]["wall_s"]
-                failures[job.job_id] = carried
+                failures[job.job_id] = dict(outcome, wall_s=wall_s)
         return failures

@@ -80,6 +80,15 @@ def shard_outcome(job: Dict, status: str, attempt: int, wall_s: float = 0.0,
             "attempt": attempt, "pid": os.getpid(), **fields}
 
 
+def should_retry(outcome: Dict, max_retries: int) -> bool:
+    """The retry policy of the pool and the cluster node: a failed attempt
+    runs again, at once, while its error is retryable (a timed-out shard
+    or a dead worker is) and its attempt is below ``max_retries``."""
+    return (outcome["status"] == "error"
+            and outcome.get("retryable", True)
+            and outcome["attempt"] < max_retries)
+
+
 class JobFault(FaultInjected):
     """Raised by a job's fault-drill mode (see ``CampaignJob.fault``)."""
 
@@ -420,8 +429,8 @@ def run_shard(jobs: List[Dict], attempt: int = 0,
     ``retryable`` comes from the exception taxonomy: deterministic model
     errors (:class:`~repro.errors.ConfigurationError`, a cycle-deadline
     :class:`~repro.errors.WatchdogExpired`, ...) can never succeed on a
-    retry, while transient injected faults and unknown exceptions keep the
-    default retry/backoff treatment.
+    retry, while transient injected faults and unknown exceptions are
+    retried; :func:`should_retry` reads it.
 
     ``should_stop`` is consulted before each job and — via the
     checkpoint loop or the batch lane — at every checkpoint or stride

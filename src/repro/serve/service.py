@@ -522,7 +522,6 @@ class CampaignService:
                 campaign_dir=campaign.directory,
                 cache_dir=self.cache_dir,
                 max_retries=self.max_retries,
-                backoff_s=0.05,
                 checkpoint_every=self.checkpoint_every,
                 resume=campaign.attempts > 1,
                 should_yield=campaign.yield_flag.is_set,

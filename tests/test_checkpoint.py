@@ -279,7 +279,7 @@ def test_campaign_chunked_checkpointing_is_identical(tmp_path):
 def test_campaign_crash_resumes_from_checkpoint(tmp_path):
     control = run_campaign(JOBS, workers=0,
                            campaign_dir=str(tmp_path / "control"))
-    crashed = run_campaign(JOBS, workers=0, backoff_s=0.0,
+    crashed = run_campaign(JOBS, workers=0,
                            campaign_dir=str(tmp_path / "crashed"),
                            checkpoint_every=15_000,
                            fault_plan=CRASH_AT_CHECKPOINT)
@@ -305,7 +305,7 @@ def test_campaign_corrupt_checkpoint_falls_back_to_cycle_zero(tmp_path):
             {"site": "checkpoint.corrupt"},
         ],
     }
-    mangled = run_campaign(JOBS, workers=0, backoff_s=0.0,
+    mangled = run_campaign(JOBS, workers=0,
                            campaign_dir=str(tmp_path / "mangled"),
                            checkpoint_every=15_000, fault_plan=plan)
     assert mangled.metrics.retries == len(JOBS)
@@ -317,7 +317,7 @@ def test_campaign_corrupt_checkpoint_falls_back_to_cycle_zero(tmp_path):
 def test_campaign_pool_workers_resume_identically(tmp_path):
     control = run_campaign(JOBS, workers=0,
                            campaign_dir=str(tmp_path / "control"))
-    pooled = run_campaign(JOBS, workers=2, backoff_s=0.0,
+    pooled = run_campaign(JOBS, workers=2,
                           campaign_dir=str(tmp_path / "pooled"),
                           checkpoint_every=15_000,
                           fault_plan=CRASH_AT_CHECKPOINT)

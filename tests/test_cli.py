@@ -139,6 +139,26 @@ def test_campaign_drill_strict_exits_nonzero(capsys, tmp_path):
     assert code == 1
 
 
+def test_cluster_run_prints_wall_and_sim_throughput(capsys, tmp_path):
+    code, out = run_cli(capsys, "cluster", "run",
+                        "--cluster-dir", str(tmp_path / "c"),
+                        "--count", "2", "--cycles", "2000",
+                        "--checkpoint-every", "500", "--nodes", "0")
+    assert code == 0
+    summary = " ".join(out.split())
+    assert "executed 2" in summary
+    assert "campaign wall 0.00 s" not in summary
+    assert "(4,000 cycles)" in summary
+    assert "sim throughput 0 cycles/s" not in summary
+
+
+def test_cluster_run_rejects_negative_retries(tmp_path):
+    with pytest.raises(SystemExit, match="max_retries must be >= 0"):
+        main(["cluster", "run", "--cluster-dir", str(tmp_path / "c"),
+              "--count", "1", "--cycles", "2000", "--nodes", "0",
+              "--retries", "-1"])
+
+
 def test_campaign_rank(capsys, tmp_path):
     code, out = run_cli(capsys, "campaign", "--count", "2",
                         "--cycles", "15000", "--workers", "0",

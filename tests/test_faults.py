@@ -368,7 +368,7 @@ def test_campaign_under_fault_plan_retries_and_quarantines(tmp_path):
                             device="tc1797", cycles=2000))
     plan = FaultPlan(rules=(
         {"site": "worker.crash", "match": {"attempt": 0}},))
-    runner = CampaignRunner(jobs, workers=0, max_retries=2, backoff_s=0.0,
+    runner = CampaignRunner(jobs, workers=0, max_retries=2,
                             cache_dir=str(tmp_path / "cache"),
                             fault_plan=plan)
     assert runner.cache is None              # chaos must not touch the cache
@@ -395,7 +395,7 @@ def test_chaos_campaign_payloads_match_clean_run():
     plan = FaultPlan(rules=(
         {"site": "worker.crash", "match": {"attempt": 0},
          "probability": 1.0},))
-    chaos = CampaignRunner(jobs, workers=0, max_retries=2, backoff_s=0.0,
+    chaos = CampaignRunner(jobs, workers=0, max_retries=2,
                            fault_plan=plan).run()
     clean_payloads = {r["job_id"]: r["payload"] for r in clean.ok_records}
     chaos_payloads = {r["job_id"]: r["payload"] for r in chaos.ok_records}

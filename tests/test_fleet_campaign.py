@@ -137,7 +137,7 @@ def test_without_resume_everything_reruns(baseline, tmp_path):
 
 def test_poison_job_quarantined_not_fatal(tmp_path):
     jobs = make_jobs(2) + [poison_job("crash")]
-    report = run_campaign(jobs, workers=2, max_retries=1, backoff_s=0.01,
+    report = run_campaign(jobs, workers=2, max_retries=1,
                           campaign_dir=str(tmp_path))
     assert [q["job_id"] for q in report.quarantined] == \
         [j.job_id for j in jobs if j.fault]
@@ -156,7 +156,7 @@ def test_flaky_job_recovers_via_retry(tmp_path):
     jobs = make_jobs(2) + [CampaignJob(
         name="flaky", domain="engine", device="tc1797", params={},
         cycles=4_000, seed=SEED, fault="flaky:1")]
-    report = run_campaign(jobs, workers=2, max_retries=2, backoff_s=0.01,
+    report = run_campaign(jobs, workers=2, max_retries=2,
                           campaign_dir=str(tmp_path))
     assert not report.quarantined
     assert report.metrics.retries >= 1
@@ -167,7 +167,7 @@ def test_flaky_job_recovers_via_retry(tmp_path):
 def test_worker_process_death_survived(tmp_path):
     """os._exit in a worker breaks the pool; the campaign carries on."""
     jobs = make_jobs(2) + [poison_job("exit", name="killer")]
-    report = run_campaign(jobs, workers=2, max_retries=1, backoff_s=0.01,
+    report = run_campaign(jobs, workers=2, max_retries=1,
                           campaign_dir=str(tmp_path))
     assert [q["job"]["name"] for q in report.quarantined] == ["killer"]
     assert "worker process died" in report.quarantined[0]["error"]

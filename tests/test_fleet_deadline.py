@@ -1,4 +1,4 @@
-"""Deadline propagation (spec → orchestrator → worker) + jitter backoff."""
+"""Deadline propagation (spec → orchestrator → worker)."""
 
 import time
 from functools import partial
@@ -110,34 +110,3 @@ def test_run_shard_expires_at_checkpoint_boundary(tmp_path):
     assert outcomes[-1]["status"] == "deadline"
     assert wall < 10.0                        # did not run 200k cycles out
 
-
-# -- full-jitter retry backoff ------------------------------------------------
-
-def test_backoff_is_deterministic_per_job_matrix():
-    a = CampaignRunner(jobs_of(SPEC), workers=0,
-                       backoff_s=0.25, max_backoff_s=5.0)
-    b = CampaignRunner(jobs_of(SPEC), workers=0,
-                       backoff_s=0.25, max_backoff_s=5.0)
-    assert [a._backoff_delay(n) for n in range(1, 6)] == \
-        [b._backoff_delay(n) for n in range(1, 6)]
-
-
-def test_backoff_full_jitter_bounds_and_cap():
-    runner = CampaignRunner(jobs_of(SPEC), workers=0,
-                            backoff_s=0.25, max_backoff_s=2.0)
-    for attempt in range(1, 12):
-        ceiling = min(2.0, 0.25 * 2 ** (attempt - 1))
-        for _ in range(20):
-            delay = runner._backoff_delay(attempt)
-            assert 0.0 <= delay <= ceiling
-    # the exponential ceiling really is hit below the cap...
-    runner2 = CampaignRunner(jobs_of(SPEC), workers=0,
-                             backoff_s=1.0, max_backoff_s=1000.0)
-    assert max(runner2._backoff_delay(8) for _ in range(200)) > 64.0
-    # ...and a huge attempt number cannot sleep past the cap
-    assert runner2._backoff_delay(60) <= 1000.0
-
-
-def test_backoff_rejects_negative_cap():
-    with pytest.raises(ConfigurationError, match="max_backoff_s"):
-        CampaignRunner(jobs_of(SPEC), workers=0, max_backoff_s=-1.0)

@@ -1,0 +1,133 @@
+"""Short-cycle guards for paper claims E3, E4 and E7.
+
+The full experiments live in ``benchmarks/`` (EXPERIMENTS.md has their
+numbers).  These are shorter runs of the same claims, each cross-checked
+against an independent count: the ICU's anomaly interrupt count against
+the timer's period arithmetic, window counts against cycles, and trace
+rates against the messages in the EMEM.
+"""
+
+import pytest
+
+from repro.core.profiling import MultiResolutionRate, ProfilingSession, spec
+from repro.mcds.counters import CYCLES as CYCLE_BASIS
+from repro.mcds.messages import MessageFactory
+from repro.mcds.trigger import RateThreshold, Trigger
+from repro.soc.config import tc1797_config
+from repro.workloads.engine import EngineControlScenario
+
+DAP_MBPS = 16.0
+
+
+def anomaly_starts(period, cycles):
+    """Burst start cycles: the anomaly timer fires at a third of its
+    period, then once per period."""
+    return list(range(period // 3, cycles, period))
+
+
+def anomaly_bursts(device):
+    """Bursts the ICU actually took on the ``anomaly`` service request."""
+    return next(srn.taken_count for srn in device.soc.icu.srns.values()
+                if srn.name == "anomaly")
+
+
+def test_e3_coupled_counters_cut_bandwidth_and_arm_per_burst():
+    """E3: a low-resolution IPC counter arms the high-resolution one only
+    below a threshold, for a fraction of the always-on bits."""
+    cycles, period, low_res, high_res, threshold = 100_000, 20_000, \
+        1024, 64, 0.55
+    params = {"anomaly": True, "anomaly_period": period}
+
+    always_dev = EngineControlScenario().build(tc1797_config(), params,
+                                               seed=3)
+    always = always_dev.mcds.add_rate_counter(
+        "ipc.high", ["tc.instr_executed"], high_res, basis=CYCLE_BASIS)
+    always_dev.run(cycles)
+
+    coupled_dev = EngineControlScenario().build(tc1797_config(), params,
+                                                seed=3)
+    coupled = MultiResolutionRate(coupled_dev, "ipc",
+                                  ["tc.instr_executed"], low_res, high_res,
+                                  threshold, basis=CYCLE_BASIS)
+    coupled_dev.run(cycles)
+    low, high = coupled.decode()
+
+    # oracles: one always-on window per high_res cycles, and one burst
+    # taken per timer period
+    assert always.samples_emitted == cycles // high_res
+    bursts = anomaly_bursts(coupled_dev)
+    assert bursts == len(anomaly_starts(period, cycles)) >= 2
+
+    assert coupled_dev.mcds.total_bits < always_dev.mcds.total_bits / 3
+    assert coupled.activations >= bursts - 1 >= 1
+    assert any(value / high_res < threshold for _, value in high)
+    assert len(high) < always.samples_emitted / 2
+    assert len(low) == cycles // low_res
+
+
+def test_e4_enhanced_rates_fit_the_dap_where_sampling_does_not():
+    """E4: on-chip rate messages fit a 16 Mbit/s DAP at every clock;
+    reading two raw counters per window over the DAP does not."""
+    cycles, ipc_res, rate_per = 60_000, 4096, 5000
+    factory = MessageFactory(timestamp_enabled=False)
+    # a DAP counter read: command and address on top of the data word
+    raw_pair_bits = 2 * (factory.counter_raw(0, "c", 2**31).bits + 32)
+    conventional = {}
+    for freq in (80, 180, 360):
+        config = tc1797_config()
+        config.cpu.frequency_mhz = freq
+        device = EngineControlScenario().build(config, {}, seed=4)
+        result = ProfilingSession(device, spec.engine_parameter_set(
+            ipc_resolution=ipc_res, rate_per=rate_per)).run(cycles)
+        seconds = cycles / (freq * 1e6)
+
+        # oracle: the rate is the MCDS's bit count over the run time, and
+        # that count is the sum over the messages the EMEM holds
+        assert result.bandwidth_mbps() == pytest.approx(
+            device.mcds.total_bits / seconds / 1e6)
+        assert device.mcds.total_bits == \
+            sum(message.bits for message in device.emem.contents())
+
+        samples = sum(len(result[name]) for name in result.names)
+        conventional[freq] = samples * raw_pair_bits / seconds / 1e6
+        enhanced = result.bandwidth_mbps()
+        assert enhanced <= DAP_MBPS, freq
+        assert conventional[freq] > 2.5 * enhanced, freq
+    assert conventional[360] > DAP_MBPS
+
+
+def test_e7_trigger_stop_holds_the_anomaly_a_free_ring_loses():
+    """E7: in a 16 KB EMEM, an IPC-dip trigger freezes the capture around
+    an anomaly burst; a free-running ring has wrapped past it."""
+    cycles, period = 100_000, 30_000
+    params = {"anomaly": True, "anomaly_period": period, "anomaly_len": 400}
+    starts = anomaly_starts(period, cycles)
+
+    def build():
+        device = EngineControlScenario(
+            ed_config_overrides={"emem_kb": 16}).build(
+                tc1797_config(), params, seed=7)
+        device.mcds.add_program_trace(cycle_accurate=True)
+        return device
+
+    def anomaly_share(device, window=6000):
+        messages = device.emem.contents()
+        hits = sum(1 for message in messages
+                   if any(s <= message.cycle <= s + window for s in starts))
+        return hits / len(messages)
+
+    free = build()
+    free.run(cycles)
+
+    trig = build()
+    ipc = trig.mcds.add_rate_counter("ipc.trigger", ["tc.instr_executed"],
+                                     256, basis=CYCLE_BASIS)
+    trig.mcds.add_trigger(Trigger(
+        "anomaly_seen", RateThreshold(ipc, 128),
+        on_enter=lambda cycle: trig.emem.trigger_stop(cycle, 0.5)))
+    trig.run(cycles)
+
+    # oracle: the bursts the ICU took are the timer's
+    assert anomaly_bursts(free) == anomaly_bursts(trig) == len(starts)
+    assert starts[0] <= trig.emem.trigger_cycle <= starts[0] + 8000
+    assert anomaly_share(trig) > 4 * max(anomaly_share(free), 0.01)
