@@ -439,8 +439,7 @@ def cmd_cluster(args) -> int:
               f"{status['records']['ok']}/{status['total_jobs']} jobs ok, "
               f"{status['records']['quarantined']} quarantined")
         print(f"  batches: {status['done_batches']}/{status['batches']} "
-              f"done; planned={status['planned']} final={status['final']} "
-              f"stop={status['stop_requested']}")
+              f"done; final={status['final']} stop={status['stop_requested']}")
         for entry in status["batch_states"]:
             lease = entry.get("lease")
             held = ""

@@ -10,16 +10,16 @@ SIGKILLed mid-campaign (see docs/cluster.md and the cluster-chaos CI
 lane).
 """
 
-from .coordinator import (cluster_status, dedupe_records, finalize,
-                          is_final, load_manifest, load_plan, publish_plan,
-                          request_stop, stop_requested, submit)
+from .coordinator import (batch_plan, cluster_status, dedupe_records,
+                          finalize, is_final, load_manifest, request_stop,
+                          stop_requested, submit)
 from .lease import Lease, LeaseManager
 from .local import fold_report, run_clustered, spawn_node
 from .node import ClusterNode
 
 __all__ = [
-    "ClusterNode", "Lease", "LeaseManager", "cluster_status",
+    "ClusterNode", "Lease", "LeaseManager", "batch_plan", "cluster_status",
     "dedupe_records", "finalize", "fold_report", "is_final",
-    "load_manifest", "load_plan", "publish_plan", "request_stop",
-    "run_clustered", "spawn_node", "stop_requested", "submit",
+    "load_manifest", "request_stop", "run_clustered", "spawn_node",
+    "stop_requested", "submit",
 ]

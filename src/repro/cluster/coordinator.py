@@ -1,4 +1,4 @@
-"""Campaign coordination artifacts: manifest, plan, batches, final.
+"""Campaign coordination artifacts: manifest, batch plan, done, final.
 
 Everything multi-node execution agrees on lives as CRC-guarded files in
 the shared cluster directory — there is no network protocol, only
@@ -7,18 +7,8 @@ atomic writes and the lease layer:
 ``manifest.json``
     What to run: the fully-resolved job dicts plus execution knobs
     (batch count, checkpoint cadence, retries, optional fault plan and
-    absolute deadline).  Written once by :func:`submit`; nodes never
-    mutate it.
-``batches/batch-NNNN.json``
-    One claim file per job batch — the unit of lease-based claiming and
-    of migration.  Batching is :func:`repro.fleet.spec.assign_shards`:
-    a pure function of job content, so every elected coordinator
-    publishes byte-identical batch files (a coordinator dying
-    mid-publish is harmless — its successor rewrites the same bytes and
-    the plan file, written last, is what announces completion).
-``plan.json``
-    The publication commit point: lists the batch file names.  Nodes
-    poll for it before working.
+    absolute deadline) and the release that submitted it.  Written
+    once by :func:`submit`; nodes never mutate it.
 ``done/batch-NNNN.done``
     Completion marker, written under the cluster lock only while the
     writer still holds the batch lease.
@@ -28,9 +18,12 @@ atomic writes and the lease layer:
     deterministic ``aggregate.json`` (byte-identical to a single-node
     run's — the cluster's acceptance criterion).
 
-The coordinator is *elected*, not configured: publishing and finalizing
-are one-shot jobs guarded by ordinary leases, so any node can do them
-and any node's death during them is survivable.
+The job batches — the unit of lease-based claiming and of migration —
+are not a file: :func:`batch_plan` computes them from the manifest with
+:func:`repro.fleet.spec.assign_shards`, a pure function of job content,
+so every node that loads the manifest holds the same plan.  Finalizing
+is the one one-shot job, guarded by an ordinary lease, so any node can
+do it and any node's death during it is survivable.
 """
 
 from __future__ import annotations
@@ -39,16 +32,15 @@ import os
 import time
 from typing import Dict, List, Optional
 
+from .. import __version__
 from ..durable import atomic_write, seal_record, unseal_record
 from ..errors import ClusterError, ConfigurationError
 from ..fleet.spec import CampaignJob, assign_shards
 from ..fleet.store import ResultStore
 
 MANIFEST_NAME = "manifest.json"
-PLAN_NAME = "plan.json"
 FINAL_NAME = "final.json"
 STOP_NAME = "STOP"
-BATCH_DIR = "batches"
 DONE_DIR = "done"
 NODE_DIR = "nodes"
 CHECKPOINT_DIR = "checkpoints"
@@ -114,6 +106,9 @@ def submit(cluster_dir: str, jobs: List[CampaignJob],
             if not isinstance(fault_plan, FaultPlan) else fault_plan.to_dict()
     record = {
         "kind": "manifest",
+        # job ids and batch membership hash the release: a node of
+        # another release refuses the manifest
+        "version": __version__,
         "jobs": [job.to_dict() for job in sorted(jobs,
                                                  key=lambda j: j.job_id)],
         "batches": int(batches),
@@ -142,50 +137,19 @@ def load_manifest(cluster_dir: str) -> Dict:
     return manifest
 
 
-def batch_name(index: int) -> str:
-    return f"batch-{index:04d}"
+def batch_plan(manifest: Dict) -> Dict[str, List[Dict]]:
+    """The campaign's job batches by name, computed from the manifest.
 
-
-def publish_plan(cluster_dir: str, manifest: Dict) -> Dict:
-    """Shard the manifest's jobs into batch claim files + the plan.
-
-    Deterministic: batch membership is ``assign_shards`` over job
-    digests, so a re-publish (after a coordinator death mid-way)
-    rewrites identical bytes.  The plan file is written *last* — its
-    presence is the publication commit point.
+    ``assign_shards`` over the manifest's jobs with its ``batches``
+    count; empty shards are dropped and the rest are named
+    ``batch-NNNN`` in shard order, each holding its jobs sorted by job
+    id.  A pure function of the manifest, so every node computes the
+    same plan and none has to publish it.
     """
     jobs = [CampaignJob.from_dict(job) for job in manifest["jobs"]]
     shards = assign_shards(jobs, int(manifest["batches"]))
-    batch_root = os.path.join(cluster_dir, BATCH_DIR)
-    os.makedirs(batch_root, exist_ok=True)
-    names = []
-    for index, shard in enumerate(shards):
-        name = batch_name(index)
-        names.append(name)
-        atomic_write(
-            os.path.join(batch_root, name + ".json"),
-            seal_record({"kind": "batch", "name": name,
-                         "jobs": [job.to_dict() for job in shard]}) + "\n")
-    plan = {"kind": "plan", "batches": names,
-            "total_jobs": len(manifest["jobs"])}
-    atomic_write(os.path.join(cluster_dir, PLAN_NAME),
-                 seal_record(plan) + "\n")
-    return plan
-
-
-def load_plan(cluster_dir: str) -> Optional[Dict]:
-    try:
-        return _read_sealed(os.path.join(cluster_dir, PLAN_NAME),
-                            "cluster plan")
-    except ClusterError:
-        return None
-
-
-def load_batch(cluster_dir: str, name: str) -> List[Dict]:
-    record = _read_sealed(
-        os.path.join(cluster_dir, BATCH_DIR, name + ".json"),
-        f"batch claim file {name}")
-    return list(record["jobs"])
+    return {f"batch-{index:04d}": [job.to_dict() for job in shard]
+            for index, shard in enumerate(shards)}
 
 
 def done_path(cluster_dir: str, name: str) -> str:
@@ -283,40 +247,35 @@ def cluster_status(cluster_dir: str,
         manifest = load_manifest(cluster_dir)
     except ClusterError:
         return dict(status, state="empty")
-    plan = load_plan(cluster_dir)
+    plan = batch_plan(manifest)
     now = time.time()
     status.update({
         "total_jobs": len(manifest["jobs"]),
-        # planned batch count when published (empty shards are dropped),
-        # the manifest's requested shard count before that
-        "batches": len(plan["batches"]) if plan else manifest["batches"],
+        "batches": len(plan),
         "deadline_at": manifest.get("deadline_at"),
-        "planned": plan is not None,
         "final": is_final(cluster_dir),
         "stop_requested": stop_requested(cluster_dir),
     })
-    done = batch_states = []
-    if plan is not None:
-        batch_states = []
-        for name in plan["batches"]:
-            entry = {"name": name, "done": is_done(cluster_dir, name)}
-            lease_file = os.path.join(cluster_dir, LEASE_DIR,
-                                      name + LEASE_SUFFIX)
-            if os.path.exists(lease_file):
-                try:
-                    record = _read_sealed(lease_file, "lease")
-                    lease = Lease.from_record(record)
-                    entry["lease"] = {
-                        "node": lease.node, "token": lease.token,
-                        "expires_in_s": round(lease.expires_at - now, 3),
-                        "renewals": lease.renewals,
-                    }
-                except (ClusterError, KeyError, TypeError):
-                    entry["lease"] = {"damaged": True}
-            batch_states.append(entry)
-        done = [entry for entry in batch_states if entry["done"]]
+    batch_states = []
+    for name in plan:
+        entry = {"name": name, "done": is_done(cluster_dir, name)}
+        lease_file = os.path.join(cluster_dir, LEASE_DIR,
+                                  name + LEASE_SUFFIX)
+        if os.path.exists(lease_file):
+            try:
+                record = _read_sealed(lease_file, "lease")
+                lease = Lease.from_record(record)
+                entry["lease"] = {
+                    "node": lease.node, "token": lease.token,
+                    "expires_in_s": round(lease.expires_at - now, 3),
+                    "renewals": lease.renewals,
+                }
+            except (ClusterError, KeyError, TypeError):
+                entry["lease"] = {"damaged": True}
+        batch_states.append(entry)
     status["batch_states"] = batch_states
-    status["done_batches"] = len(done)
+    status["done_batches"] = sum(1 for entry in batch_states
+                                 if entry["done"])
     # node heartbeat files
     nodes = []
     node_root = os.path.join(cluster_dir, NODE_DIR)

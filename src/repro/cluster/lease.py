@@ -1,7 +1,7 @@
 """Lease files with fencing tokens: who may work on what, provably.
 
 The cluster's unit of mutual exclusion is a **lease file** per resource
-(one per job batch, plus ``coordinator`` and ``finalize``): a single
+(one per job batch, plus ``finalize``): a single
 CRC-guarded JSON record naming the holder node, an absolute expiry time,
 and a **fencing token** — a cluster-wide monotonic counter bumped on
 every claim.  The protocol is the classic lease/fencing design:

@@ -11,8 +11,9 @@ byte-identical ``aggregate.json``.
 Real subprocesses, not threads: the whole point of the cluster layer is
 surviving *process death*, and the chaos drill SIGKILLs one of these
 workers mid-campaign.  Node crashes are therefore non-fatal here — the
-fold only checks that the campaign *finalized*, not that every worker
-exited cleanly.
+fold checks that the campaign *finalized* (or was stopped, or ran out
+of time), not that every worker exited cleanly; a campaign every node
+left unfinished for any other reason is a :class:`ClusterError`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ..fleet.orchestrator import CampaignReport
 from ..fleet.spec import CampaignJob
 from ..fleet.store import ResultStore
 from .coordinator import (dedupe_records, is_final, load_manifest,
-                          request_stop, submit)
+                          request_stop, stop_requested, submit)
 from .node import ClusterNode
 
 
@@ -63,7 +64,13 @@ def spawn_node(cluster_dir: str, node_id: str,
 def fold_report(cluster_dir: str, nodes: int = 1,
                 wall_s: float = 0.0) -> CampaignReport:
     """Reduce the shared store to a single-node-shaped campaign report;
-    ``wall_s`` is the campaign's wall clock, measured by the caller."""
+    ``wall_s`` is the campaign's wall clock, measured by the caller.
+
+    An unfinished campaign reads as ``deadline_exceeded`` once its
+    deadline has passed and as ``preempted`` when a STOP file asked the
+    nodes to stop; otherwise every node gave up on it (a refused
+    manifest, a crash loop) and the fold raises :class:`ClusterError`.
+    """
     manifest = load_manifest(cluster_dir)
     store = ResultStore(cluster_dir)
     records = dedupe_records(store.load())
@@ -73,15 +80,18 @@ def fold_report(cluster_dir: str, nodes: int = 1,
         metrics.note_record(record)
     report = CampaignReport(records=records, metrics=metrics,
                             store_path=store.path)
+    deadline_at = manifest.get("deadline_at")
     if is_final(cluster_dir):
         report.aggregate_path = store.aggregate_path
+    elif deadline_at is not None and time.time() > deadline_at:
+        report.deadline_exceeded = True
+    elif stop_requested(cluster_dir):
+        report.preempted = True
     else:
-        # not finalized: either stopped cooperatively or out of time
-        deadline_at = manifest.get("deadline_at")
-        if deadline_at is not None and time.time() > deadline_at:
-            report.deadline_exceeded = True
-        else:
-            report.preempted = True
+        raise ClusterError(
+            f"cluster campaign in {cluster_dir!r} is not final, yet it was "
+            f"neither stopped nor out of time: every node exited early "
+            f"({len(records)} of {len(manifest['jobs'])} jobs committed)")
     return report
 
 
@@ -105,6 +115,8 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
     debuggable, and still exercising the full lease/fence protocol
     (tests and ``--nodes 0`` use it).
     """
+    if nodes < 0:
+        raise ConfigurationError("cluster needs nodes >= 1 (0 = in-process)")
     start = time.perf_counter()
     if jobs is not None:
         submit(cluster_dir, list(jobs), batches=batches,
@@ -116,8 +128,6 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
         ClusterNode(cluster_dir, node_id="node-local", ttl_s=ttl_s).run()
         return fold_report(cluster_dir, nodes=1,
                            wall_s=time.perf_counter() - start)
-    if nodes < 1:
-        raise ConfigurationError("cluster needs nodes >= 1 (0 = in-process)")
     procs = [spawn_node(cluster_dir, f"node-{index}", ttl_s=ttl_s)
              for index in range(nodes)]
     deadline = time.monotonic() + wait_timeout_s

@@ -3,9 +3,9 @@
 A :class:`ClusterNode` is one worker *process* cooperating with its
 peers purely through the shared cluster directory:
 
-1.  **Elect**: try the ``coordinator`` lease; the winner publishes the
-    batch plan (deterministic, so a coordinator dying mid-publish just
-    means the next winner rewrites the same bytes).
+1.  **Plan**: load the manifest, refuse it if another release submitted
+    it, and compute the batch plan from it (:func:`batch_plan` — the
+    same on every node, so nothing is elected or published).
 2.  **Claim**: walk the plan's batches, skip done ones, and try each
     lease.  Claiming over an expired lease is a *migration* — the node
     inherits the dead peer's per-job checkpoints from the shared
@@ -35,8 +35,9 @@ import time
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
+from .. import __version__
 from ..durable import atomic_write, file_lock, seal_record
-from ..errors import CampaignStopped, StaleLeaseError
+from ..errors import CampaignStopped, ClusterError, StaleLeaseError
 from ..fleet.cache import ResultCache
 from ..fleet.spec import CampaignJob
 from ..fleet.store import ResultStore, job_record
@@ -48,13 +49,15 @@ from ..obs import runtime as _obs
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.journal import AdmissionJournal
 from .coordinator import (CACHE_DIR, CHECKPOINT_DIR, CLUSTER_JOURNAL_NAME,
-                          NODE_DIR, cluster_status, finalize, is_done,
-                          is_final, load_batch, load_manifest, load_plan,
-                          mark_done, publish_plan, stop_requested)
+                          NODE_DIR, batch_plan, cluster_status, finalize,
+                          is_done, is_final, load_manifest, mark_done,
+                          stop_requested)
+# bench/phases.py patches node.publish_plan (its ``cluster.plan`` span);
+# nodes compute the plan with batch_plan and publish nothing
+from .coordinator import batch_plan as publish_plan  # noqa: F401
 from .lease import Lease, LeaseManager
 
-#: lease resources that are not job batches
-COORDINATOR_RESOURCE = "coordinator"
+#: the one lease resource that is not a job batch
 FINALIZE_RESOURCE = "finalize"
 
 #: node exit summaries (``ClusterNode.run`` return value ``state``)
@@ -74,12 +77,20 @@ class ClusterNode:
         self.node_id = node_id or f"node-{os.getpid()}"
         self.poll_s = float(poll_s)
         self.clock = clock
+        self.manifest = load_manifest(cluster_dir)
+        if self.manifest.get("version") != __version__:
+            raise ClusterError(
+                f"cluster manifest in {cluster_dir!r} was submitted by "
+                f"repro {self.manifest.get('version')}, this node runs "
+                f"{__version__}: job ids and batches hash the release, "
+                f"so nodes of different releases cannot share a campaign")
+        #: batch name -> its jobs, the same on every node
+        self.batches = batch_plan(self.manifest)
         self.journal = AdmissionJournal(cluster_dir,
                                         name=CLUSTER_JOURNAL_NAME)
         self.leases = LeaseManager(cluster_dir, self.node_id, ttl_s=ttl_s,
                                    clock=clock, journal=self.journal)
         self.store = ResultStore(cluster_dir)
-        self.manifest = load_manifest(cluster_dir)
         self.cache = ResultCache(os.path.join(cluster_dir, CACHE_DIR)) \
             if self.manifest.get("cache") else None
         self.checkpoint = {
@@ -154,24 +165,6 @@ class ClusterNode:
         return None
 
     # -- coordination --------------------------------------------------------
-    def _ensure_plan(self) -> Dict:
-        """Return the published plan, electing ourselves if needed."""
-        while True:
-            plan = load_plan(self.cluster_dir)
-            if plan is not None:
-                return plan
-            lease = self.leases.claim(COORDINATOR_RESOURCE)
-            if lease is not None:
-                try:
-                    plan = publish_plan(self.cluster_dir, self.manifest)
-                    self._emit("cluster.plan", batches=len(plan["batches"]))
-                finally:
-                    self.leases.release(lease)
-                return plan
-            # another node is coordinator — wait for its plan (or its
-            # lease to expire, at which point we take over)
-            time.sleep(self.poll_s)
-
     def _completed_ids(self) -> set:
         """Job ids already committed to the shared store.
 
@@ -234,8 +227,7 @@ class ClusterNode:
         """
         holder = [lease]
         should_stop = partial(self._should_stop, holder)
-        jobs = sorted(load_batch(self.cluster_dir, lease.resource),
-                      key=lambda j: CampaignJob.from_dict(j).job_id)
+        jobs = self.batches[lease.resource]
         tel = _obs._active
         t0 = tel.tracer.now_us() if tel is not None else 0.0
         # the resume scan shares the store lock with commits: a record
@@ -316,8 +308,6 @@ class ClusterNode:
         self._beat("starting")
         self._emit("node.start", cluster_dir=self.cluster_dir,
                    ttl_s=self.leases.ttl_s)
-        plan = self._ensure_plan()
-        names: List[str] = list(plan["batches"])
         state = NODE_DONE
         aggregate_path = None
         while True:
@@ -337,7 +327,7 @@ class ClusterNode:
                 continue
             claimed = None
             pending = 0
-            for name in names:
+            for name in self.batches:
                 if is_done(self.cluster_dir, name):
                     continue
                 pending += 1

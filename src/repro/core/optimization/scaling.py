@@ -34,11 +34,6 @@ class ScalingPoint:
     #: delivered work per wall-clock second, normalised to the first point
     relative_performance: float
 
-    @property
-    def scaling_efficiency(self) -> float:
-        """Delivered vs ideal (linear-in-frequency) speedup."""
-        return self.relative_performance  # filled in relative to ideal below
-
 
 def simulate_scaling(scenario, base_config: SoCConfig,
                      frequencies: Iterable[int],

@@ -146,10 +146,11 @@ class TraceStoreError(ReproError, RuntimeError):
 class ClusterError(ReproError, RuntimeError):
     """A multi-node coordination artifact was rejected or unusable.
 
-    Raised for a damaged cluster manifest, a batch claim file that fails
-    its CRC, or a plan that no longer builds.  Deterministic
-    (``retryable=False``): the shared directory holds what it holds — an
-    operator has to repair or resubmit, retrying cannot.
+    Raised for a damaged cluster manifest, a manifest another release
+    submitted, or a campaign every node left unfinished without a stop
+    or a passed deadline.  Deterministic (``retryable=False``): the
+    shared directory holds what it holds — an operator has to repair or
+    resubmit, retrying cannot.
     """
 
 

@@ -1,7 +1,9 @@
 """Cluster coordination units + the end-to-end in-process guarantees.
 
-Covers the coordinator artifacts (manifest validation, deterministic
-plan publishing, deduped finalization), the multi-writer hardening of
+Covers the coordinator artifacts (manifest validation, the batch plan
+every node computes, deduped finalization), the node's and the local
+runner's refusals (another release's manifest, a campaign every node
+left unfinished, a negative node count), the multi-writer hardening of
 the result store (advisory lock + two *processes* appending
 concurrently) and the content-addressed cache (atomic writes, digest /
 CRC re-verification, quarantine-on-damage), and the flagship property:
@@ -18,14 +20,17 @@ import textwrap
 
 import pytest
 
-from repro.cluster import (ClusterNode, cluster_status, dedupe_records,
-                           request_stop, run_clustered, submit)
-from repro.cluster.coordinator import load_batch, load_manifest, publish_plan
-from repro.durable import file_lock, unseal_record
-from repro.errors import ConfigurationError
+from repro import __version__
+from repro.cli import main
+from repro.cluster import (ClusterNode, batch_plan, cluster_status,
+                           dedupe_records, local, request_stop,
+                           run_clustered, submit)
+from repro.cluster.coordinator import load_manifest
+from repro.durable import file_lock, seal_record, unseal_record
+from repro.errors import ClusterError, ConfigurationError
 from repro.fleet.api import run_campaign
 from repro.fleet.cache import QUARANTINE_SUFFIX, ResultCache
-from repro.fleet.spec import CampaignJob
+from repro.fleet.spec import CampaignJob, assign_shards
 from repro.fleet.store import ResultStore
 
 CYCLES = 2_000
@@ -65,25 +70,59 @@ def test_fault_plan_disables_shared_cache(tmp_path):
 
 
 def test_publish_plan_is_deterministic(tmp_path):
-    """A coordinator dying mid-publish is harmless: a re-publish writes
-    byte-identical batch files and the same plan."""
+    """Nothing is published: every node computes the same batch plan
+    from the manifest, ``assign_shards`` over its jobs in shard order."""
     cdir = str(tmp_path)
-    submit(cdir, make_jobs(5), batches=3)
-    manifest = load_manifest(cdir)
-    plan_a = publish_plan(cdir, manifest)
-    first = {name: open(os.path.join(cdir, "batches", name + ".json"),
-                        "rb").read()
-             for name in plan_a["batches"]}
-    plan_b = publish_plan(cdir, manifest)      # elected again, re-publishes
-    assert plan_a == plan_b
-    for name, content in first.items():
-        with open(os.path.join(cdir, "batches", name + ".json"),
-                  "rb") as handle:
-            assert handle.read() == content
+    jobs = make_jobs(5)
+    submit(cdir, jobs, batches=3)
+    plan = batch_plan(load_manifest(cdir))
+    assert batch_plan(load_manifest(cdir)) == plan
+    expected = {f"batch-{index:04d}": [job.to_dict() for job in shard]
+                for index, shard in enumerate(assign_shards(jobs, 3))}
+    assert list(plan.items()) == list(expected.items())
+    for node_id in ("n1", "n2"):
+        assert ClusterNode(cdir, node_id=node_id).batches == expected
     # every job appears in exactly one batch
-    seen = [job["name"] for name in plan_a["batches"]
-            for job in load_batch(cdir, name)]
-    assert sorted(seen) == sorted(job.name for job in make_jobs(5))
+    seen = [job["name"] for members in plan.values() for job in members]
+    assert sorted(seen) == sorted(job.name for job in jobs)
+
+
+def test_node_refuses_another_releases_manifest(tmp_path):
+    """Job ids and batch membership hash the release, so a node must not
+    join a campaign another release submitted."""
+    cdir = str(tmp_path)
+    submit(cdir, make_jobs(2))
+    manifest = load_manifest(cdir)
+    manifest["version"] = "0.0.0-other"
+    with open(os.path.join(cdir, "manifest.json"), "w") as handle:
+        handle.write(seal_record(manifest) + "\n")
+    with pytest.raises(ClusterError) as refused:
+        ClusterNode(cdir, node_id="n1")
+    assert "0.0.0-other" in str(refused.value)
+    assert __version__ in str(refused.value)
+
+
+def test_every_node_exiting_unfinished_is_an_error(tmp_path, monkeypatch):
+    """Nodes that all exit before the campaign is final, with no STOP
+    file and no passed deadline, fail the run: it is not a preemption
+    for a caller to requeue."""
+    monkeypatch.setattr(local, "node_command", lambda *args: [
+        sys.executable, "-c", "raise SystemExit(1)"])
+    with pytest.raises(ClusterError, match="not final"):
+        run_clustered(make_jobs(2), str(tmp_path / "lib"), nodes=2)
+    with pytest.raises(SystemExit, match="not final"):
+        main(["cluster", "run", "--cluster-dir", str(tmp_path / "cli"),
+              "--count", "2", "--cycles", "2000", "--nodes", "2"])
+
+
+def test_run_clustered_checks_nodes_before_submitting(tmp_path):
+    cdir = str(tmp_path)
+    with pytest.raises(ConfigurationError, match="nodes >= 1"):
+        run_clustered(make_jobs(2), cdir, nodes=-1)
+    assert not os.path.exists(os.path.join(cdir, "manifest.json"))
+    report = run_clustered(make_jobs(2), cdir, nodes=0,
+                           checkpoint_every=EVERY)
+    assert len(report.ok_records) == 2 and report.aggregate_path
 
 
 def test_dedupe_records_first_commit_wins():
@@ -289,8 +328,7 @@ def test_second_node_resumes_a_half_finished_campaign(tmp_path):
     jobs = make_jobs(4)
     submit(cdir, jobs, batches=2, checkpoint_every=EVERY)
     first = ClusterNode(cdir, node_id="n1")
-    plan = first._ensure_plan()
-    lease = first.leases.claim(plan["batches"][0])
+    lease = first.leases.claim(next(iter(first.batches)))
     assert first._run_batch(lease) == "done"
     done_before = first.jobs_done
     assert 0 < done_before < 4
@@ -318,7 +356,7 @@ def _claimed_batch(tmp_path, deadline_s=None, breaker=None):
     submit(cdir, make_jobs(2), batches=1, checkpoint_every=EVERY,
            deadline_s=deadline_s)
     node = ClusterNode(cdir, node_id="n1", breaker=breaker)
-    lease = node.leases.claim(node._ensure_plan()["batches"][0])
+    lease = node.leases.claim(next(iter(node.batches)))
     return node, lease
 
 
@@ -359,11 +397,13 @@ def test_cluster_status_shapes(tmp_path):
     cdir = str(tmp_path / "c")
     submit(cdir, make_jobs(2), batches=2)
     status = cluster_status(cdir)
-    assert status["total_jobs"] == 2 and not status["planned"]
+    assert status["total_jobs"] == 2 and status["done_batches"] == 0
     run_clustered(None, cdir, nodes=0)
     status = cluster_status(cdir)
-    assert status["planned"] and status["final"]
+    assert status["final"]
     assert status["done_batches"] == status["batches"]
+    # the plan is computed on each node, never written
+    assert not {"plan.json", "batches"} & set(os.listdir(cdir))
     assert status["records"] == {"ok": 2, "quarantined": 0}
     assert status["nodes"] and status["nodes"][0]["node"] == "node-local"
 

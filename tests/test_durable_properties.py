@@ -3,9 +3,10 @@
 Every JSON format the package persists is one record sealed by
 :func:`repro.durable.seal_record` (a ``_crc32`` over the canonical rest):
 result-store and journal lines, the cluster's lease, fence, manifest,
-plan, batch, done, final and node files, cache entries, checkpoints,
-checkpoint message-log segments and trace summary sidecars.  Damage detection is therefore tested here once,
-through each format's real writer and real reader:
+done, final and node files, cache entries, checkpoints, checkpoint
+message-log segments and trace summary sidecars.  Damage detection is
+therefore tested here once, through each format's real writer and real
+reader:
 
 * the record round-trips;
 * truncation at any byte is rejected, with or without a newline after
@@ -218,19 +219,14 @@ _read_cluster_file = _rejects(ClusterError, lambda d: _read_sealed(
     os.path.join(d, "record.json"), "cluster file"))
 for _kind, _fields, _sample in (
         ("fence", {"token": tokens}, {"token": 12}),
-        ("manifest", {"jobs": jobs, "batches": counts,
+        ("manifest", {"version": names, "jobs": jobs, "batches": counts,
                       "checkpoint_every": counts, "max_retries": counts,
                       "fault_plan": st.none() | objects,
                       "deadline_at": st.none() | times,
                       "cache": st.booleans()},
-         {"jobs": [JOB.to_dict()], "batches": 1, "checkpoint_every": 500,
-          "max_retries": 2, "fault_plan": None, "deadline_at": None,
-          "cache": True}),
-        ("plan", {"batches": st.lists(names, max_size=4),
-                  "total_jobs": counts},
-         {"batches": ["batch-0000"], "total_jobs": 1}),
-        ("batch", {"name": names, "jobs": jobs},
-         {"name": "batch-0000", "jobs": [JOB.to_dict()]}),
+         {"version": "0.1.0", "jobs": [JOB.to_dict()], "batches": 1,
+          "checkpoint_every": 500, "max_retries": 2, "fault_plan": None,
+          "deadline_at": None, "cache": True}),
         ("done", {"batch": names, "node": names, "token": tokens},
          {"batch": "batch-0000", "node": "node-1", "token": 3}),
         ("final", {"node": names, "ok": counts, "quarantined": counts},

@@ -1,14 +1,17 @@
-"""Short-cycle guards for paper claims E3, E4 and E7.
+"""Short-cycle guards for paper claims E3, E4, E7, E10 and E11.
 
 The full experiments live in ``benchmarks/`` (EXPERIMENTS.md has their
 numbers).  These are shorter runs of the same claims, each cross-checked
 against an independent count: the ICU's anomaly interrupt count against
-the timer's period arithmetic, window counts against cycles, and trace
-rates against the messages in the EMEM.
+the timer's period arithmetic, window counts against cycles, trace
+rates and trace bits against the messages in the EMEM, traced
+instructions against the instructions the core retired, and delivered
+performance against the oracle CPI stack.
 """
 
 import pytest
 
+from repro.core.optimization import simulate_scaling
 from repro.core.profiling import MultiResolutionRate, ProfilingSession, spec
 from repro.mcds.counters import CYCLES as CYCLE_BASIS
 from repro.mcds.messages import MessageFactory
@@ -131,3 +134,50 @@ def test_e7_trigger_stop_holds_the_anomaly_a_free_ring_loses():
     assert anomaly_bursts(free) == anomaly_bursts(trig) == len(starts)
     assert starts[0] <= trig.emem.trigger_cycle <= starts[0] + 8000
     assert anomaly_share(trig) > 4 * max(anomaly_share(free), 0.01)
+
+
+def test_e10_flow_trace_costs_a_fraction_of_cycle_accurate_and_raw():
+    """E10: the compressed flow trace costs well under a raw PC dump's
+    32 bits per instruction; cycle-accurate mode costs more, still less
+    than the raw dump."""
+    bpi = {}
+    for cycle_accurate in (False, True):
+        device = EngineControlScenario().build(tc1797_config(), {}, seed=10)
+        ptu = device.mcds.add_program_trace(cycle_accurate=cycle_accurate)
+        device.run(30_000)
+
+        # oracles: the unit traced every instruction the core retired,
+        # and its bits are the bits of the messages the EMEM holds
+        assert ptu.instructions_traced == device.cpu.retired > 0
+        assert device.emem.dropped_messages == 0
+        assert ptu.bits == sum(message.bits
+                               for message in device.emem.contents())
+        bpi[cycle_accurate] = ptu.bits_per_instruction
+    assert bpi[False] < 8.0
+    assert bpi[False] < bpi[True] < 32.0
+
+
+def fix_flash_path(config):
+    """E11's flash-path fix: doubled I-cache, 4-line flash buffers."""
+    config.icache.size_bytes *= 2
+    config.flash.code_buffer_lines = 4
+    config.flash.data_buffer_lines = 4
+
+
+def test_e11_flash_wall_eats_speedup_a_fixed_flash_path_recovers():
+    """E11: at 4x the clock the unchanged architecture loses more than a
+    fifth of the ideal speedup to flash wait states; the flash-path-fixed
+    variant loses less."""
+    loss = {}
+    for configure in (None, fix_flash_path):
+        low, high = simulate_scaling(EngineControlScenario(),
+                                     tc1797_config(), (90, 360),
+                                     work_instructions=30_000, seed=11,
+                                     configure=configure)
+        # oracle: delivered performance is clock ratio times CPI ratio,
+        # with CPI from the oracle CPI stack
+        assert high.relative_performance == pytest.approx(
+            (360 / 90) * low.cpi / high.cpi, rel=1e-3)
+        loss[configure] = 1.0 - high.relative_performance / (360 / 90)
+    assert loss[None] > 0.20
+    assert loss[fix_flash_path] < loss[None]
