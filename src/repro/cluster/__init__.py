@@ -10,9 +10,9 @@ SIGKILLed mid-campaign (see docs/cluster.md and the cluster-chaos CI
 lane).
 """
 
+from ..fleet.store import request_stop, stop_requested
 from .coordinator import (batch_plan, cluster_status, dedupe_records,
-                          finalize, is_final, load_manifest, request_stop,
-                          stop_requested, submit)
+                          finalize, is_final, load_manifest, submit)
 from .lease import Lease, LeaseManager
 from .local import fold_report, run_clustered, spawn_node
 from .node import ClusterNode

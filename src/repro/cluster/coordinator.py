@@ -36,11 +36,10 @@ from .. import __version__
 from ..durable import atomic_write, seal_record, unseal_record
 from ..errors import ClusterError, ConfigurationError
 from ..fleet.spec import CampaignJob, assign_shards
-from ..fleet.store import ResultStore
+from ..fleet.store import ResultStore, stop_requested
 
 MANIFEST_NAME = "manifest.json"
 FINAL_NAME = "final.json"
-STOP_NAME = "STOP"
 DONE_DIR = "done"
 NODE_DIR = "nodes"
 CHECKPOINT_DIR = "checkpoints"
@@ -215,22 +214,6 @@ def finalize(cluster_dir: str, node: str) -> str:
                               "ok": len(ok),
                               "quarantined": len(quarantined)}) + "\n")
     return aggregate
-
-
-def request_stop(cluster_dir: str) -> None:
-    """Ask every node to stop at its next safe boundary (preemption)."""
-    atomic_write(os.path.join(cluster_dir, STOP_NAME), "stop\n")
-
-
-def clear_stop(cluster_dir: str) -> None:
-    try:
-        os.unlink(os.path.join(cluster_dir, STOP_NAME))
-    except FileNotFoundError:
-        pass
-
-
-def stop_requested(cluster_dir: str) -> bool:
-    return os.path.exists(os.path.join(cluster_dir, STOP_NAME))
 
 
 def cluster_status(cluster_dir: str,

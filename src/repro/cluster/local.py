@@ -28,9 +28,8 @@ from ..errors import ClusterError, ConfigurationError
 from ..fleet.metrics import CampaignMetrics
 from ..fleet.orchestrator import CampaignReport
 from ..fleet.spec import CampaignJob
-from ..fleet.store import ResultStore
-from .coordinator import (dedupe_records, is_final, load_manifest,
-                          request_stop, stop_requested, submit)
+from ..fleet.store import ResultStore, request_stop, stop_requested
+from .coordinator import dedupe_records, is_final, load_manifest, submit
 from .node import ClusterNode
 
 

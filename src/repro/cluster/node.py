@@ -44,14 +44,13 @@ from ..fleet.store import ResultStore, job_record
 # bench/phases.py patches node.execute_job; jobs run through run_shard,
 # this module's own binding (bench wraps worker.run_shard)
 from ..fleet.worker import execute_job  # noqa: F401
-from ..fleet.worker import StopCheck, run_shard, should_retry
+from ..fleet.worker import StopCheck, campaign_stop, run_shard, should_retry
 from ..obs import runtime as _obs
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.journal import AdmissionJournal
 from .coordinator import (CACHE_DIR, CHECKPOINT_DIR, CLUSTER_JOURNAL_NAME,
                           NODE_DIR, batch_plan, cluster_status, finalize,
-                          is_done, is_final, load_manifest, mark_done,
-                          stop_requested)
+                          is_done, is_final, load_manifest, mark_done)
 # bench/phases.py patches node.publish_plan (its ``cluster.plan`` span);
 # nodes compute the plan with batch_plan and publish nothing
 from .coordinator import batch_plan as publish_plan  # noqa: F401
@@ -105,7 +104,6 @@ class ClusterNode:
             cooldown_s=0.5, max_cooldown_s=10.0)
         self.jobs_done = 0
         self.batches_done = 0
-        self.migrations = 0
         self.fenced = 0
         self._stop_reason: Optional[str] = None
 
@@ -122,7 +120,6 @@ class ClusterNode:
                 "updated_at": self.clock(),
                 "jobs_done": self.jobs_done,
                 "batches_done": self.batches_done,
-                "migrations": self.migrations,
             }) + "\n")
         tel = _obs._active
         if tel is not None:
@@ -142,21 +139,21 @@ class ClusterNode:
     # -- stopping conditions -------------------------------------------------
     def _should_stop(self, holder: Optional[List[Lease]] = None
                      ) -> Optional[str]:
-        """The node's ``should_stop``: ``"stopped"``, ``"deadline"``,
-        ``"fenced"`` or ``None``.
+        """The node's ``should_stop``: ``"stopped"`` or ``"deadline"``
+        from :func:`~repro.fleet.worker.campaign_stop` on the cluster
+        directory and the manifest deadline, else ``"fenced"`` or
+        ``None``.
 
         With ``holder`` (a one-element list with the batch lease) it is
         also the heartbeat the fleet worker calls before every attempt
-        and at every checkpoint boundary: renew the lease and beat.  A refused renewal means the batch migrated —
-        ``"fenced"`` at the point where the checkpoint just written is
-        exactly what the new holder resumes from.
+        and at every checkpoint boundary: renew the lease and beat.  A
+        refused renewal means the batch migrated — ``"fenced"`` at the
+        point where the checkpoint just written is exactly what the new
+        holder resumes from.
         """
-        if stop_requested(self.cluster_dir):
-            return NODE_STOPPED
-        if self.deadline_at is not None and time.time() > self.deadline_at:
-            return NODE_DEADLINE
-        if holder is None:
-            return None
+        reason = campaign_stop(self.cluster_dir, self.deadline_at)
+        if reason is not None or holder is None:
+            return reason
         renewed = self.leases.renew(holder[0])
         if renewed is None:
             return "fenced"

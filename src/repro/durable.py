@@ -2,8 +2,8 @@
 
 Every persistent JSON format — the result store and admission journal line
 logs, the cache entries, checkpoints, trace summary sidecars, and the
-cluster's lease/fence/manifest/plan/batch/done/final/node records — goes
-through the five primitives here:
+cluster's lease/fence/manifest/done/final/node records — goes through the
+five primitives here:
 
 * :func:`canonical_json` — sorted, whitespace-free JSON: the hashing and
   checksum input form;

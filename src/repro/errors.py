@@ -86,13 +86,14 @@ class CampaignStopped(ReproError, RuntimeError):
 
     Raised from inside a job or lane group when ``should_stop()``
     returns a reason at a checkpoint or sweep boundary.  ``reason`` is
-    that return value, kept as it is: ``"preempted"`` (evicted; the
-    in-flight job's checkpoint stays on disk and a ``resume=True`` run
-    continues byte-identically), ``"deadline"`` (the campaign's
-    wall-clock deadline passed: terminal for the submission), or, on a
-    cluster node, ``"stopped"`` (STOP file) and ``"fenced"`` (the batch
-    lease was lost).  Not a job failure: callers turn it into an outcome
-    status or node state, never a retry.
+    that return value, kept as it is: ``"stopped"`` (a ``STOP`` file in
+    the campaign directory; the in-flight job's checkpoint stays on disk
+    and, once the file is deleted, a resumed run continues
+    byte-identically), ``"deadline"`` (the campaign's wall-clock
+    deadline passed: terminal for the submission), or, on a cluster
+    node, ``"fenced"`` (the batch lease was lost).  Not a job failure:
+    callers turn it into an outcome status or node state, never a
+    retry.
     """
 
     def __init__(self, reason: str) -> None:

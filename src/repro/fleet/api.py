@@ -27,7 +27,7 @@ from .spec import CampaignJob, build_matrix
 #: runner knobs forwarded verbatim to :class:`CampaignRunner`
 RUNNER_KWARGS = ("workers", "cache_dir", "campaign_dir", "max_retries",
                  "timeout_s", "resume", "fault_plan", "checkpoint_every",
-                 "should_yield", "deadline_s", "backend")
+                 "deadline_s", "backend")
 
 
 @dataclass(frozen=True)

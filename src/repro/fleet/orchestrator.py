@@ -21,16 +21,17 @@ Execution model
   ``resume=True``, in the campaign's JSONL store — hits never reach the
   pool, which is why a warm re-run executes zero jobs.
 
-* In-process runs (``workers=0``) support **cooperative preemption**: a
-  ``should_yield`` callback is consulted between jobs and at every
-  checkpoint boundary; when it fires, the run stops early with
+* A campaign is asked to stop by a ``STOP`` file in its directory
+  (:func:`~repro.fleet.store.request_stop`).  ``run()`` binds the
+  directory and the ``deadline_s`` deadline into one picklable
+  :func:`~repro.fleet.worker.campaign_stop`, which the workers, in
+  process or in the pool, consult before each job and at every
+  checkpoint or lane stride boundary.  A STOP ends the run early with
   ``CampaignReport.preempted=True`` — completed records durable in the
-  store, the interrupted job's checkpoint on disk — and a later
-  ``resume=True`` run finishes the campaign byte-identically.  This is
-  how ``repro.serve`` evicts a low-priority campaign under load.
-  ``run()`` folds the callback and the ``deadline_s`` deadline into the
-  one ``should_stop() -> reason`` the workers consult (see
-  :mod:`repro.fleet.worker`); only the deadline half crosses the pool.
+  store, the interrupted job's checkpoint on disk — and once the file
+  is deleted a ``resume=True`` run finishes the campaign
+  byte-identically.  This is how ``repro.serve`` evicts a low-priority
+  campaign under load.
 
 Results are bit-identical regardless of worker count: every job builds
 its own seeded device, and the aggregate artifact is written sorted by
@@ -47,7 +48,7 @@ from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..faults import FaultPlan
@@ -59,7 +60,7 @@ from .spec import CampaignJob, assign_shards
 from .store import ResultStore, job_record
 # the orchestrator calls its own run_shard binding: bench/phases.py wraps
 # worker.run_shard to count other callers
-from .worker import (STOP_REASONS, StopCheck, deadline_stop, run_shard,
+from .worker import (STOP_REASONS, StopCheck, campaign_stop, run_shard,
                      shard_outcome, should_retry)
 
 
@@ -68,10 +69,10 @@ class CampaignReport:
     """Everything a campaign run produced.
 
     ``preempted=True`` means the run stopped early at a safe boundary
-    (the orchestrator's ``should_yield`` fired): every completed record
-    is durable in the store, the interrupted job's checkpoint is on
-    disk, and no aggregate was written — a later ``resume=True`` run
-    finishes the campaign byte-identically.
+    (a ``STOP`` file appeared in the campaign directory): every completed
+    record is durable in the store, the interrupted job's checkpoint is
+    on disk, and no aggregate was written — once the file is deleted, a
+    ``resume=True`` run finishes the campaign byte-identically.
     """
 
     records: List[Dict] = field(default_factory=list)   # sorted by job_id
@@ -106,7 +107,6 @@ class CampaignRunner:
                  resume: bool = False,
                  fault_plan: Optional[Dict] = None,
                  checkpoint_every: Optional[int] = None,
-                 should_yield: Optional[Callable[[], bool]] = None,
                  deadline_s: Optional[float] = None,
                  backend: str = "scalar") -> None:
         if backend not in ("scalar", "batch"):
@@ -119,10 +119,6 @@ class CampaignRunner:
         self.backend = backend
         if workers < 0:
             raise ConfigurationError("workers must be >= 0 (0 = in-process)")
-        if should_yield is not None and workers != 0:
-            raise ConfigurationError(
-                "should_yield needs workers=0: a live callback cannot "
-                "cross the process-pool pickle boundary")
         self.jobs = sorted(jobs, key=lambda j: j.job_id)
         ids = [job.job_id for job in self.jobs]
         if len(set(ids)) != len(ids):
@@ -150,7 +146,6 @@ class CampaignRunner:
         self.max_retries = max_retries
         self.timeout_s = timeout_s
         self.resume = resume
-        self.should_yield = should_yield
         if deadline_s is not None and deadline_s <= 0:
             raise ConfigurationError(
                 "deadline_s must be positive (or None for no deadline)")
@@ -217,16 +212,14 @@ class CampaignRunner:
                               self.fault_plan, self.checkpoint,
                               self._should_stop, self.backend))
                 # a stopped outcome ends the round: later shards stay
-                # pending (resumable after a preemption, moot after a
-                # deadline)
+                # pending (resumable after a STOP, moot after a deadline)
                 if outcomes and outcomes[-1]["status"] in STOP_REASONS:
                     break
             return outcomes
 
         outcomes = []
         pool = self._ensure_pool()
-        # with workers >= 1 there is no yield callback, so _should_stop is
-        # at most the deadline partial, which pickles
+        # _should_stop is a campaign_stop partial (or None): it pickles
         futures = [(pool.submit(run_shard,
                                 [job.to_dict() for job in shard], attempt,
                                 self.fault_plan, self.checkpoint,
@@ -301,15 +294,14 @@ class CampaignRunner:
     def run(self) -> CampaignReport:
         start = time.perf_counter()
         self._stop_reason = None
-        # the deadline is armed at run start, as absolute wall-clock time
-        # in a picklable partial; the yield callback (workers=0 only) is
-        # folded in front of it
-        deadline = None if self.deadline_s is None else partial(
-            deadline_stop, time.time() + self.deadline_s)
-        should_yield = self.should_yield
-        self._should_stop = deadline if should_yield is None else (
-            lambda: "preempted" if should_yield()
-            else (deadline and deadline()))
+        # one picklable check of the campaign dir's STOP file and the
+        # deadline, armed here as absolute wall-clock time
+        directory = None if self.store is None else self.store.directory
+        deadline_at = None if self.deadline_s is None else (
+            time.time() + self.deadline_s)
+        self._should_stop = None
+        if directory is not None or deadline_at is not None:
+            self._should_stop = partial(campaign_stop, directory, deadline_at)
         tel = _obs._active
         campaign_t0 = tel.tracer.now_us() if tel is not None else 0.0
         if tel is not None:
@@ -350,7 +342,7 @@ class CampaignRunner:
         # round 0: deterministic shards over the pool
         failures: Dict[str, Dict] = {}
         if pending and self._stopped():
-            # stale (or yielding) before a single job ran — never
+            # stale (or stopped) before a single job ran — never
             # silently run it
             pending = []
         if pending:
@@ -375,8 +367,8 @@ class CampaignRunner:
                                          retried))
 
         # whatever still fails is quarantined — the campaign survives it.
-        # Under preemption nothing is quarantined: unfinished jobs (and
-        # even failed ones) get a fresh start on the resumed run.  Under
+        # Under a STOP nothing is quarantined: unfinished jobs (and even
+        # failed ones) get a fresh start on the resumed run.  Under
         # a deadline nothing is quarantined either — the submission is
         # terminal, and "didn't finish in time" is not a job defect.
         stopped_early = self._stop_reason is not None
@@ -393,14 +385,14 @@ class CampaignRunner:
         self._retire_pool()
         metrics.wall_s = time.perf_counter() - start
 
-        # under preemption only the completed prefix has records; the
+        # under a STOP only the completed prefix has records; the
         # aggregate (the byte-identity artifact) is only ever written by
         # the run that finishes the campaign
         ordered = [records[job.job_id] for job in self.jobs
                    if job.job_id in records]
         report = CampaignReport(
             records=ordered, metrics=metrics,
-            preempted=self._stop_reason == "preempted",
+            preempted=self._stop_reason == "stopped",
             deadline_exceeded=self._stop_reason == "deadline")
         if self.store is not None:
             self.store.rewrite(ordered)
@@ -454,14 +446,14 @@ class CampaignRunner:
             if "checkpoint" in outcome:
                 metrics.note_checkpoint(outcome["checkpoint"])
             if outcome["status"] in STOP_REASONS:
-                # not a job failure.  "preempted": the partial progress
-                # is on disk as a checkpoint and the campaign is offered
-                # again (resume=True) once the pressure clears;
+                # not a job failure.  "stopped": the partial progress is
+                # on disk as a checkpoint and the campaign is offered
+                # again (resume=True) once the STOP file is gone;
                 # "deadline": terminal for the submission, so the
                 # campaign stops here instead of running stale work
                 self._stop_reason = outcome["status"]
                 if tel is not None:
-                    event = "job." + outcome["status"]   # job.deadline, ...
+                    event = "job." + outcome["status"]   # job.stopped, ...
                     tel.instant(event, cat="fleet", job_id=job.job_id)
                     tel.emit(event, job_id=job.job_id,
                              attempt=outcome["attempt"])

@@ -21,6 +21,12 @@ writes the separate ``aggregate.json`` artifact containing only the
 deterministic fields (no wall-clock, no attempt counts), which is the
 thing asserted byte-identical across worker counts — and across
 crash/resume cycles (see docs/checkpoint.md).
+
+A ``STOP`` file in the campaign directory (:func:`request_stop`) asks
+every executor of the campaign — the in-process runner, its pool
+workers and cluster nodes — to stop at its next safe boundary; once it
+is deleted (:func:`clear_stop`), a resumed run finishes the campaign
+byte-identically.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .spec import CampaignJob
 
 STORE_NAME = "campaign.jsonl"
 AGGREGATE_NAME = "aggregate.json"
+STOP_NAME = "STOP"
 
 #: damaged lines are preserved here, one per line, for post-mortems
 QUARANTINE_SUFFIX = ".quarantine"
@@ -51,6 +58,23 @@ def job_record(job: CampaignJob, status: str, source: str, attempts: int,
     return {"job_id": job.job_id, "digest": job.digest, "job": job.to_dict(),
             "status": status, "source": source, "attempts": attempts,
             "wall_s": wall_s, **fields}
+
+
+def request_stop(directory: str) -> None:
+    """Ask every executor of the campaign in ``directory`` to stop at its
+    next safe boundary."""
+    atomic_write(os.path.join(directory, STOP_NAME), "stop\n")
+
+
+def clear_stop(directory: str) -> None:
+    try:
+        os.unlink(os.path.join(directory, STOP_NAME))
+    except FileNotFoundError:
+        pass
+
+
+def stop_requested(directory: str) -> bool:
+    return os.path.exists(os.path.join(directory, STOP_NAME))
 
 
 class ResultStore:

@@ -24,7 +24,10 @@ never depends on the backend.
 Stopping early is one contract: a ``should_stop()`` callable, consulted
 before each job and at every checkpoint or lane stride boundary,
 returns ``None`` to go on or a reason to stop.  The reason becomes the
-outcome status as it is, and the shard ends there.
+outcome status as it is, and the shard ends there.  A campaign's
+``should_stop`` is :func:`campaign_stop`: its directory's ``STOP`` file
+and its deadline, read the same way by the runner, its pool workers and
+cluster nodes.
 """
 
 from __future__ import annotations
@@ -53,23 +56,31 @@ from ..obs import runtime as _obs
 from ..soc.config import CONFIGS
 from ..workloads import SCENARIOS
 from .spec import CampaignJob
+from .store import stop_requested
 
 #: ``should_stop() -> reason``: ``None`` to go on
 StopCheck = Callable[[], Optional[str]]
 
-#: the reasons a campaign runner's ``should_stop`` returns; an outcome
-#: with one of them as its status ends its shard
-STOP_REASONS = ("preempted", "deadline")
+#: the reasons :func:`campaign_stop` returns; an outcome with one of
+#: them as its status ends its shard
+STOP_REASONS = ("stopped", "deadline")
 
 
-def deadline_stop(deadline: float) -> Optional[str]:
-    """``should_stop`` for an absolute ``time.time()`` deadline.
+def campaign_stop(directory: Optional[str],
+                  deadline: Optional[float]) -> Optional[str]:
+    """A campaign's ``should_stop``: ``"stopped"`` while ``directory``
+    holds a ``STOP`` file, ``"deadline"`` once ``time.time()`` passes the
+    absolute ``deadline``, else ``None``; either argument may be ``None``.
 
-    Module-level, so ``functools.partial(deadline_stop, deadline)``
-    pickles to pool workers; ``time.time()`` readings compare across
-    processes.
+    Module-level, so ``functools.partial(campaign_stop, directory,
+    deadline)`` pickles to pool workers; ``time.time()`` readings compare
+    across processes.
     """
-    return "deadline" if time.time() > deadline else None
+    if directory is not None and stop_requested(directory):
+        return "stopped"
+    if deadline is not None and time.time() > deadline:
+        return "deadline"
+    return None
 
 
 def shard_outcome(job: Dict, status: str, attempt: int, wall_s: float = 0.0,
@@ -435,7 +446,7 @@ def run_shard(jobs: List[Dict], attempt: int = 0,
     ``should_stop`` is consulted before each job and — via the
     checkpoint loop or the batch lane — at every checkpoint or stride
     boundary.  A returned reason ends the shard with a single outcome for
-    the interrupted job whose status is that reason (``"preempted"``,
+    the interrupted job whose status is that reason (``"stopped"``,
     ``"deadline"``); outcomes for jobs that already completed are
     returned normally, so nothing finished is lost.
 

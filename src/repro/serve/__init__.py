@@ -26,14 +26,12 @@ from .catalog import build_catalog, load_catalog, write_catalog
 from .queue import FairQueue, QueueEntry
 from .quota import QuotaManager, TenantPolicy, TokenBucket
 from .service import Campaign, CampaignService
-from .stream import EventBuffer, EventLogBridge, encode_comment, \
-    encode_frame
+from .stream import EventBuffer, encode_comment, encode_frame
 
 __all__ = [
     "Campaign",
     "CampaignService",
     "EventBuffer",
-    "EventLogBridge",
     "FairQueue",
     "QueueEntry",
     "QuotaManager",

@@ -16,23 +16,23 @@ Execution model
   scheduler wrapped around the exact computation ``repro campaign`` runs.
 * **Preemption**: when a strictly higher-priority campaign is waiting
   and no slot is free, the lowest-priority running campaign is asked to
-  yield.  The orchestrator honors the request at the next checkpoint
-  boundary (or job boundary), leaving the store prefix and the in-flight
-  job's checkpoint on disk; the evicted campaign re-enters the queue and
-  later *resumes* — completed jobs replayed from the store, the
-  interrupted job continued from its checkpoint, final artifacts
-  byte-identical to an uninterrupted run (the PR5 guarantee, now a
-  graceful-degradation story).
-* **Streaming**: every lifecycle event and per-job result is emitted
-  through a per-campaign :class:`repro.obs.events.EventLog` bridged into
-  a replayable SSE buffer; results are discovered by *tailing the
-  campaign's JSONL store while the runner appends to it*
-  (:meth:`repro.fleet.store.ResultStore.tail`).
+  stop: the service writes the ``STOP`` file into its directory
+  (:func:`repro.fleet.store.request_stop`), which the runner, or the
+  cluster nodes, read at the next checkpoint or job boundary, leaving
+  the store prefix and the in-flight job's checkpoint on disk; the
+  evicted campaign re-enters the queue and later *resumes* — completed
+  jobs replayed from the store, the interrupted job continued from its
+  checkpoint, final artifacts byte-identical to an uninterrupted run.
+* **Streaming**: every lifecycle event and per-job result is pushed as
+  one JSON record into the campaign's replayable SSE buffer; results
+  are discovered by *tailing the campaign's JSONL store while the
+  runner appends to it* (:meth:`repro.fleet.store.ResultStore.tail`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import threading
 import time
@@ -41,12 +41,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..cluster.coordinator import MANIFEST_NAME, clear_stop, request_stop
+from ..cluster.coordinator import MANIFEST_NAME
 from ..errors import (ConfigurationError, QuotaExceeded,
                       ServiceUnavailable)
 from ..fleet.api import CampaignSpec, run_campaign
 from ..fleet.spec import canonical_json
-from ..fleet.store import ResultStore
+from ..fleet.store import ResultStore, clear_stop, request_stop
 from ..obs import bridge as _obs_bridge
 from ..obs.events import EventLog
 from ..obs.registry import MetricsRegistry
@@ -56,12 +56,12 @@ from ..resilience import (AdmissionJournal, CircuitBreaker,
 from .catalog import build_catalog, load_catalog
 from .queue import FairQueue
 from .quota import QuotaManager
-from .stream import EventBuffer, EventLogBridge
+from .stream import EventBuffer
 
 #: campaign lifecycle states
 QUEUED = "queued"
 RUNNING = "running"
-EVICTING = "evicting"            # yield requested, waiting for the boundary
+EVICTING = "evicting"            # STOP written, waiting for the boundary
 COMPLETED = "completed"
 FAILED = "failed"
 DEADLINE_EXCEEDED = "deadline_exceeded"
@@ -93,21 +93,27 @@ class Campaign:
     trace_path: Optional[str] = None      # sealed .rtrace segment, if any
     quarantined: List[str] = field(default_factory=list)
     buffer: EventBuffer = field(default_factory=EventBuffer)
-    log: EventLog = field(init=False)
-    yield_flag: threading.Event = field(default_factory=threading.Event)
     store: ResultStore = field(init=False)
     tail_offset: int = 0
     streamed_jobs: Set[str] = field(default_factory=set)
     results_streamed: int = 0
+    #: the next event's sequence number, and the clock its ``t`` counts from
+    seq: int = field(default=0, init=False)
+    epoch: float = field(default_factory=time.perf_counter, init=False)
 
     def __post_init__(self) -> None:
-        self.log = EventLog(self.campaign_id,
-                            stream=EventLogBridge(self.buffer))
         self.store = ResultStore(self.directory)
 
     def emit(self, event: str, **fields_) -> None:
-        """Emit one structured event into the obs log → SSE buffer."""
-        self.log.emit(event, **fields_)
+        """Push one event record into the SSE buffer, as the JSON line
+        :class:`repro.obs.events.EventLog` renders; nothing else keeps
+        it."""
+        record = {"run_id": self.campaign_id, "seq": self.seq,
+                  "t": round(time.perf_counter() - self.epoch, 6),
+                  "event": event}
+        record.update(fields_)
+        self.seq += 1
+        self.buffer.push(event, json.dumps(record, sort_keys=True))
 
     def status(self) -> Dict:
         return {
@@ -500,10 +506,8 @@ class CampaignService:
 
     def _ask_to_yield(self, campaign: Campaign) -> None:
         """Stop a running campaign at its next checkpoint boundary: the
-        in-process runner polls the flag, cluster nodes the STOP file."""
-        campaign.yield_flag.set()
-        if self.cluster_nodes:
-            request_stop(campaign.directory)
+        runner and cluster nodes alike read its STOP file."""
+        request_stop(campaign.directory)
 
     def _run_blocking(self, campaign: Campaign):
         """Executed on a slot thread: one orchestrator run."""
@@ -524,7 +528,6 @@ class CampaignService:
                 max_retries=self.max_retries,
                 checkpoint_every=self.checkpoint_every,
                 resume=campaign.attempts > 1,
-                should_yield=campaign.yield_flag.is_set,
                 deadline_s=deadline_s)
 
         if self.trace_store and self._trace_lock.acquire(blocking=False):
@@ -557,10 +560,7 @@ class CampaignService:
         in-process path.  The first attempt submits the manifest; a
         re-dispatch after an eviction reuses it — the nodes' resume
         scan plus the per-job checkpoints make the continuation
-        byte-identical, same contract as ``resume=True``.  An eviction
-        reaches the node subprocesses as the STOP file
-        :meth:`_ask_to_yield` writes; :meth:`_run` clears it before the
-        attempt starts.
+        byte-identical, same contract as ``resume=True``.
         """
         from ..cluster import run_clustered
         from ..fleet import jobs_for
@@ -575,13 +575,11 @@ class CampaignService:
 
     async def _run(self, campaign: Campaign) -> None:
         campaign.attempts += 1
-        if self.cluster_nodes:
-            # cleared here, before the campaign can be seen RUNNING, so
-            # no eviction aimed at this attempt can be cleared by it
-            clear_stop(campaign.directory)
+        # cleared here, before the campaign can be seen RUNNING, so no
+        # eviction aimed at this attempt can be cleared by it
+        clear_stop(campaign.directory)
         self._journal_state(campaign, RUNNING)
         campaign.state = RUNNING
-        campaign.yield_flag.clear()
         # the store is cleared and completed records re-appended on every
         # attempt, so the tailer restarts from byte 0 and dedups by job id
         campaign.tail_offset = 0

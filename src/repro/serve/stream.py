@@ -1,21 +1,18 @@
-"""Server-Sent Events plumbing: frames, replayable buffers, obs bridge.
+"""Server-Sent Events plumbing: frames and replayable buffers.
 
 Results stream out *while the campaign is still running* — the
 fast-trace-generation insight (PAPERS.md) applied to the fleet: don't
 make the architect wait for the batch to finish to see the first
-customer's profile.  Three pieces:
+customer's profile.  Two pieces:
 
 * :func:`encode_frame` — the SSE wire format (``id:``/``event:``/
   ``data:`` lines, blank-line terminator, multiline data split per spec);
 * :class:`EventBuffer` — a per-campaign, replayable event history with
   monotonically increasing ids.  A client reconnecting with
   ``Last-Event-ID: N`` replays everything after ``N`` — eviction,
-  reconnects, and slow consumers all reduce to "replay from id";
-* :class:`EventLogBridge` — a write-only text sink that plugs into
-  :class:`repro.obs.events.EventLog` as its live ``stream``, so every
-  structured record the obs layer emits for a campaign lands in the SSE
-  buffer with its event name intact.  The service's event stream *is*
-  the obs event log, framed for HTTP.
+  reconnects, and slow consumers all reduce to "replay from id".
+  ``repro.serve.service.Campaign.emit`` pushes each event record into
+  it as one JSON line, under its event name.
 
 Pushes may come from worker threads (the campaign executes in an
 executor); waiters live on the asyncio loop.  ``EventBuffer`` is locked
@@ -25,7 +22,6 @@ for pushers and wakes async waiters with ``loop.call_soon_threadsafe``.
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 from typing import List, Optional, Tuple
 
@@ -144,32 +140,3 @@ class EventBuffer:
                     pass
             return False
 
-
-class EventLogBridge:
-    """File-like sink adapting ``EventLog(stream=...)`` to a buffer.
-
-    The obs event log serialises each record as one JSON line and writes
-    it to its live stream; this bridge parses the event name back out
-    and pushes the line into the SSE buffer, so subscribers receive
-    frames like::
-
-        id: 7
-        event: job.result
-        data: {"event": "job.result", "run_id": "cmp-000001", ...}
-    """
-
-    def __init__(self, buffer: EventBuffer) -> None:
-        self.buffer = buffer
-
-    def write(self, text: str) -> int:
-        line = text.strip()
-        if line:
-            try:
-                name = json.loads(line).get("event", "message")
-            except json.JSONDecodeError:
-                name = "message"
-            self.buffer.push(name, line)
-        return len(text)
-
-    def flush(self) -> None:                       # TextIO protocol
-        pass

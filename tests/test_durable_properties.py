@@ -233,10 +233,9 @@ for _kind, _fields, _sample in (
          {"node": "node-1", "ok": 4, "quarantined": 0}),
         ("node", {"node": names, "pid": counts, "ttl_s": times,
                   "state": names, "updated_at": times, "jobs_done": counts,
-                  "batches_done": counts, "migrations": counts},
+                  "batches_done": counts},
          {"node": "node-1", "pid": 4242, "ttl_s": 5.0, "state": "working",
-          "updated_at": 1234.5, "jobs_done": 2, "batches_done": 1,
-          "migrations": 0})):
+          "updated_at": 1234.5, "jobs_done": 2, "batches_done": 1})):
     FORMATS[_kind] = Format(kind(_kind, **_fields), _cluster_write,
                             _read_cluster_file, {"kind": _kind, **_sample})
 

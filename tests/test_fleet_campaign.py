@@ -12,12 +12,15 @@ The acceptance properties of the subsystem:
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
 from repro.fleet import (CampaignJob, CampaignRunner, build_matrix,
                          campaign_matrix, matrix_table, rank_portfolio,
-                         run_campaign, volume_weights)
+                         run_campaign, volume_weights, worker)
+from repro.fleet.store import clear_stop, request_stop
 from repro.core.optimization import hardware_options
 from repro.soc.config import tc1797_config
 from repro.workloads import CustomerGenerator
@@ -357,25 +360,31 @@ def test_store_load_skips_unterminated_tail(tmp_path):
     assert not os.path.exists(store.quarantine_path)
 
 
-# -- cooperative preemption (the serve-layer eviction contract) --------------
-def test_preempted_campaign_resumes_byte_identical(tmp_path):
-    """Yield at a checkpoint boundary; resume finishes the same bytes."""
+# -- cooperative preemption (the STOP file every executor reads) -------------
+def test_preempted_campaign_resumes_byte_identical(tmp_path, monkeypatch):
+    """A STOP file written after the second checkpoint save stops the run
+    at that boundary; once it is deleted, resume finishes the same bytes."""
     jobs = make_jobs(2)
     reference = run_campaign(jobs, workers=0,
                              campaign_dir=str(tmp_path / "ref"))
-    fired = {"n": 0}
-
-    def yield_after_two():
-        fired["n"] += 1
-        return fired["n"] > 2
-
     run_dir = str(tmp_path / "run")
+    saves = []
+    save = worker._save
+
+    def save_then_stop_after_two(*args):
+        save(*args)
+        saves.append(None)
+        if len(saves) == 2:
+            request_stop(run_dir)
+
+    monkeypatch.setattr(worker, "_save", save_then_stop_after_two)
     first = run_campaign(jobs, workers=0, campaign_dir=run_dir,
-                         checkpoint_every=4_000,
-                         should_yield=yield_after_two)
+                         checkpoint_every=4_000)
+    monkeypatch.undo()
     assert first.preempted
     assert first.aggregate_path is None         # no aggregate mid-flight
     assert len(first.records) < 2
+    clear_stop(run_dir)
     second = run_campaign(jobs, workers=0, campaign_dir=run_dir,
                           checkpoint_every=4_000, resume=True)
     assert not second.preempted
@@ -385,16 +394,57 @@ def test_preempted_campaign_resumes_byte_identical(tmp_path):
         assert a.read() == b.read()
 
 
-def test_yield_before_first_job_completes_nothing(tmp_path):
-    report = run_campaign(make_jobs(1), workers=0,
-                          campaign_dir=str(tmp_path),
-                          should_yield=lambda: True)
+@pytest.mark.parametrize("workers", [0, 2])
+def test_stop_before_first_job_completes_nothing(tmp_path, workers):
+    request_stop(str(tmp_path))
+    report = run_campaign(make_jobs(1), workers=workers,
+                          campaign_dir=str(tmp_path))
     assert report.preempted
     assert report.records == []
     assert not report.quarantined
 
 
-def test_should_yield_requires_in_process():
-    with pytest.raises(ValueError, match="workers=0"):
-        CampaignRunner(make_jobs(1), workers=2,
-                       should_yield=lambda: False)
+def stop_at_first_checkpoint(run_dir, timeout_s=60.0):
+    """Write ``run_dir``'s STOP file once any job checkpoint lands."""
+    checkpoints = os.path.join(run_dir, "checkpoints")
+
+    def watch():
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            if os.path.isdir(checkpoints) and any(
+                    name.endswith(".ckpt")
+                    for name in os.listdir(checkpoints)):
+                request_stop(run_dir)
+                return
+            time.sleep(0.001)
+
+    watcher = threading.Thread(target=watch, daemon=True)
+    watcher.start()
+    return watcher
+
+
+def test_pooled_campaign_stops_on_stop_file_and_resumes(tmp_path):
+    """Pool workers read the STOP file too: a workers=2 campaign stops at
+    its next job or checkpoint boundary, and once the file is deleted a
+    resumed run writes the reference aggregate bytes."""
+    jobs = build_matrix(population(3), cycle_budgets=(40_000,), seed=SEED)
+    reference = run_campaign(jobs, workers=0,
+                             campaign_dir=str(tmp_path / "ref"))
+    run_dir = str(tmp_path / "run")
+    watcher = stop_at_first_checkpoint(run_dir)
+    first = run_campaign(jobs, workers=2, campaign_dir=run_dir,
+                         checkpoint_every=2_000)
+    watcher.join(timeout=60.0)
+    assert not watcher.is_alive()
+    assert first.preempted
+    assert first.aggregate_path is None
+    assert len(first.records) < len(jobs)
+    assert not first.quarantined
+    clear_stop(run_dir)
+    second = run_campaign(jobs, workers=2, campaign_dir=run_dir,
+                          checkpoint_every=2_000, resume=True)
+    assert not second.preempted
+    assert second.metrics.resumed == len(first.records)
+    with open(reference.aggregate_path, "rb") as a, \
+            open(second.aggregate_path, "rb") as b:
+        assert a.read() == b.read()

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fleet import CampaignSpec, run_campaign
 from repro.fleet.orchestrator import CampaignRunner
-from repro.fleet.worker import deadline_stop, run_shard
+from repro.fleet.worker import campaign_stop, run_shard
 
 SPEC = {"count": 2, "cycles": 8_000, "seed": 9}
 
@@ -91,7 +91,7 @@ def test_no_deadline_still_completes(tmp_path):
 def test_run_shard_expires_at_job_boundary():
     jobs = [job.to_dict() for job in jobs_of(SPEC)]
     outcomes = run_shard(
-        jobs, should_stop=partial(deadline_stop, time.time() - 1.0))
+        jobs, should_stop=partial(campaign_stop, None, time.time() - 1.0))
     assert len(outcomes) == 1                 # first boundary check fires
     assert outcomes[0]["status"] == "deadline"
 
@@ -105,7 +105,7 @@ def test_run_shard_expires_at_checkpoint_boundary(tmp_path):
     t0 = time.time()
     outcomes = run_shard(
         jobs, checkpoint=checkpoint,
-        should_stop=partial(deadline_stop, time.time() + 0.2))
+        should_stop=partial(campaign_stop, None, time.time() + 0.2))
     wall = time.time() - t0
     assert outcomes[-1]["status"] == "deadline"
     assert wall < 10.0                        # did not run 200k cycles out

@@ -1,22 +1,25 @@
-"""Short-cycle guards for paper claims E3, E4, E7, E10 and E11.
+"""Short-cycle guards for paper claims E1, E3, E4, E7, E9, E10 and E11.
 
 The full experiments live in ``benchmarks/`` (EXPERIMENTS.md has their
 numbers).  These are shorter runs of the same claims, each cross-checked
-against an independent count: the ICU's anomaly interrupt count against
-the timer's period arithmetic, window counts against cycles, trace
-rates and trace bits against the messages in the EMEM, traced
-instructions against the instructions the core retired, and delivered
-performance against the oracle CPI stack.
+against an independent count: IPC samples and the ICU's anomaly
+interrupt count against the instructions the core retired and the
+timer's period arithmetic, window counts against cycles, trace rates
+and trace bits against the messages in the EMEM, traced instructions
+against the instructions the core retired, and option gains and
+delivered performance against the oracle CPI stack.
 """
 
 import pytest
 
-from repro.core.optimization import simulate_scaling
+from repro.core.optimization import (OptionEvaluator, hardware_options,
+                                     simulate_scaling)
 from repro.core.profiling import MultiResolutionRate, ProfilingSession, spec
 from repro.mcds.counters import CYCLES as CYCLE_BASIS
 from repro.mcds.messages import MessageFactory
 from repro.mcds.trigger import RateThreshold, Trigger
 from repro.soc.config import tc1797_config
+from repro.workloads import CustomerGenerator
 from repro.workloads.engine import EngineControlScenario
 
 DAP_MBPS = 16.0
@@ -32,6 +35,29 @@ def anomaly_bursts(device):
     """Bursts the ICU actually took on the ``anomaly`` service request."""
     return next(srn.taken_count for srn in device.soc.icu.srns.values()
                 if srn.name == "anomaly")
+
+
+def test_e1_fine_windows_show_multiscalar_bursts_coarse_ones_hide():
+    """E1: IPC measured every 64 cycles shows multi-scalar bursts above
+    one instruction per cycle; measured every 1024 cycles, the same
+    workload averages them away."""
+    cycles = 30_000
+    peak = {}
+    for resolution in (64, 1024):
+        device = EngineControlScenario().build(tc1797_config(), {}, seed=1)
+        session = ProfilingSession(device, [spec.ipc(resolution)])
+        closed = cycles // resolution * resolution
+        device.run(closed)
+        retired = device.cpu.retired
+        device.run(cycles - closed)
+        ipc = session.result()["tc.ipc"]
+
+        # oracles: one window per resolution cycles, and the windows
+        # count every instruction the core retired up to the last close
+        assert len(ipc) == cycles // resolution
+        assert int(ipc.values.sum()) == retired > 0
+        peak[resolution] = float(ipc.rates.max())
+    assert peak[64] > 1.0 > peak[1024]
 
 
 def test_e3_coupled_counters_cut_bandwidth_and_arm_per_burst():
@@ -155,6 +181,45 @@ def test_e10_flow_trace_costs_a_fraction_of_cycle_accurate_and_raw():
         bpi[cycle_accurate] = ptu.bits_per_instruction
     assert bpi[False] < 8.0
     assert bpi[False] < bpi[True] < 32.0
+
+
+#: E9's flash-path options: each shortens the path from flash to the core
+FLASH_PATH = {"icache_x2", "flash_25ns", "prefetch_x4", "dbuf_x4",
+              "dcache_4k", "banks_x4"}
+
+
+def test_e9_every_engine_customer_ranks_a_flash_path_fix_top_three():
+    """E9: the best option by gain per cost differs between the engine
+    customers of one generated population, yet each one's top three
+    holds a flash-path fix: the conclusion is a population property."""
+    customers = [customer for customer in
+                 CustomerGenerator(seed=42).generate(8)
+                 if customer.domain == "engine"][:3]
+    winners = set()
+    for customer in customers:
+        evaluator = OptionEvaluator(customer.scenario, tc1797_config(),
+                                    hardware_options(),
+                                    work_instructions=20_000, seed=9)
+        evaluator.scenario.default_params = dict(
+            evaluator.scenario.default_params, **customer.params)
+        top = evaluator.evaluate()[:3]
+
+        # oracle: the baseline's CPI stack books more stall cycles to the
+        # flash path (fetch and load stalls) than to any other cause, and
+        # no flash-path fix recovers more than those cycles
+        stack = evaluator.context.stack.components
+        flash = stack["fetch_stall"] + stack["load_stall"]
+        assert flash > max(value for name, value in stack.items()
+                           if name not in ("base", "fetch_stall",
+                                           "load_stall"))
+        cpi = evaluator.context.stack.cpi
+        for result in top:
+            if result.option.key in FLASH_PATH:
+                assert 1.0 < result.measured_speedup < cpi / (cpi - flash)
+        assert {result.option.key for result in top} & FLASH_PATH
+        winners.add(top[0].option.key)
+    assert len(customers) == 3
+    assert len(winners) >= 2
 
 
 def fix_flash_path(config):

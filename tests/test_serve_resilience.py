@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ServiceUnavailable
 from repro.fleet import CampaignSpec, run_campaign
+from repro.fleet.store import request_stop
 from repro.resilience import OPEN, AdmissionJournal, CircuitBreaker, \
     fold_journal
 from repro.serve import CampaignService, QuotaManager, TenantPolicy
@@ -132,7 +133,7 @@ def test_recovered_interrupted_campaign_resumes_byte_identical(tmp_path):
             # loop without journaling any further transitions
             await wait_for(lambda: len(
                 campaign.store.tail(0)[0]) >= 1)
-            campaign.yield_flag.set()     # stop the runner at a boundary
+            request_stop(campaign.directory)  # stop at a boundary
             await wait_for(lambda: campaign.state != "running",
                            timeout=60.0)
             # overwrite the journal truth back to "running": exactly

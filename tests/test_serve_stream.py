@@ -1,12 +1,12 @@
-"""SSE framing, replayable event buffers, and the obs-log bridge."""
+"""SSE framing, replayable event buffers, and campaign events."""
 
 import asyncio
 import json
+import sys
 import threading
 
-from repro.obs.events import EventLog
-from repro.serve import EventBuffer, EventLogBridge, encode_comment, \
-    encode_frame
+from repro.fleet import CampaignSpec
+from repro.serve import Campaign, EventBuffer, encode_comment, encode_frame
 
 
 # -- frame encoding ----------------------------------------------------------
@@ -115,24 +115,22 @@ def test_wait_woken_by_close():
     assert asyncio.run(waiter()) is True
 
 
-# -- obs bridge --------------------------------------------------------------
-def test_bridge_carries_event_names_and_payloads():
-    buf = EventBuffer()
-    log = EventLog("cmp-test", stream=EventLogBridge(buf))
-    log.emit("job.result", job_id="j1", status="ok")
-    log.emit("campaign.completed", executed=3)
-    events, _ = buf.since(0)
+# -- campaign events ---------------------------------------------------------
+def test_campaign_emit_pushes_one_json_line_and_keeps_no_record(tmp_path):
+    campaign = Campaign(campaign_id="cmp-test", tenant="t", priority=0,
+                        spec=CampaignSpec(), directory=str(tmp_path))
+    payload = {"profile": {"ipc": [0.5] * 8}}
+    references = sys.getrefcount(payload)
+    campaign.emit("job.result", job_id="j1", status="ok", payload=payload)
+    campaign.emit("campaign.completed", executed=3)
+    assert sys.getrefcount(payload) == references   # no record kept it
+    events, _ = campaign.buffer.since(0)
     assert [e[1] for e in events] == ["job.result", "campaign.completed"]
-    first = json.loads(events[0][2])
-    assert first["run_id"] == "cmp-test"
-    assert first["job_id"] == "j1" and first["status"] == "ok"
-
-
-def test_bridge_tolerates_non_json_writes():
-    buf = EventBuffer()
-    bridge = EventLogBridge(buf)
-    bridge.write("not json\n")
-    bridge.write("   \n")                 # whitespace only: ignored
-    bridge.flush()
-    events, _ = buf.since(0)
-    assert [(e[1], e[2]) for e in events] == [("message", "not json")]
+    first, second = (json.loads(e[2]) for e in events)
+    assert events[0][2] == json.dumps(first, sort_keys=True)
+    assert list(first) == sorted(first)
+    assert first == {"run_id": "cmp-test", "seq": 0, "t": first["t"],
+                     "event": "job.result", "job_id": "j1",
+                     "status": "ok", "payload": payload}
+    assert second["seq"] == 1 and second["executed"] == 3
+    assert 0 <= first["t"] <= second["t"]
