@@ -26,9 +26,10 @@ is missing, torn or damaged raises :class:`CheckpointError`, which
 rejects that body like a damaged one.
 
 The log sits next to ``<job_id>.ckpt`` as ``<job_id>.msglog`` (outside
-the ``*.ckpt`` glob).  Appends hold an exclusive lock on a sidecar, as
-the result store's do: a fenced cluster node or an abandoned pool worker
-may still be appending to the same log.
+the ``*.ckpt`` glob).  It is a :class:`repro.durable.SealedLog`, like the
+result store, so appends hold an exclusive lock on its sidecar: a fenced
+cluster node or an abandoned pool worker may still be appending to the
+same log.
 """
 
 from __future__ import annotations
@@ -37,14 +38,11 @@ import os
 import warnings
 from typing import Dict, List, NamedTuple
 
-from ..durable import append_line, file_lock, seal_record, unseal_record
+from ..durable import SealedLog
 from ..errors import CheckpointError
 
 #: replaces a checkpoint path's ``.ckpt`` extension
 LOG_SUFFIX = ".msglog"
-
-#: the sidecar :func:`repro.durable.file_lock` holds around an append
-LOCK_SUFFIX = ".lock"
 
 
 def message_log_path(checkpoint_path: str) -> str:
@@ -56,20 +54,18 @@ class MessageLog:
     """One job's message log; counts the bytes this object appended."""
 
     def __init__(self, path: str) -> None:
+        self.log = SealedLog(path)
         self.path = path
-        self.lock_path = path + LOCK_SUFFIX
         self.appended_bytes = 0
 
     def append(self, cycle: int, after: int, start: int,
                messages: List[Dict]) -> int:
         """Durably append the segment of the save at ``cycle``; returns
         the bytes written."""
-        line = seal_record({"cycle": cycle, "after": after, "start": start,
-                            "messages": messages})
-        with file_lock(self.lock_path):
-            append_line(self.path, line)
-        self.appended_bytes += len(line) + 1
-        return len(line) + 1
+        written = self.log.append({"cycle": cycle, "after": after,
+                                   "start": start, "messages": messages})
+        self.appended_bytes += written
+        return written
 
     def segments(self) -> List[Dict]:
         """Every intact segment, in file order (``[]`` without a log).
@@ -77,20 +73,10 @@ class MessageLog:
         A damaged line is skipped with a warning; so is an unterminated
         final fragment — a torn tail, or an append in flight.
         """
-        try:
-            with open(self.path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return []
-        complete, _, partial = data.rpartition(b"\n")
-        segments: List[Dict] = []
-        for line in complete.split(b"\n") if complete else ():
-            try:
-                segments.append(unseal_record(line))
-            except ValueError as exc:
-                warnings.warn(f"message log {self.path}: skipping a damaged "
-                              f"segment ({exc})", RuntimeWarning,
-                              stacklevel=2)
+        segments, damaged, _, partial = self.log.read()
+        for _, exc in damaged:
+            warnings.warn(f"message log {self.path}: skipping a damaged "
+                          f"segment ({exc})", RuntimeWarning, stacklevel=2)
         if partial:
             warnings.warn(f"message log {self.path}: ignoring a torn final "
                           f"segment ({len(partial)} bytes)", RuntimeWarning,

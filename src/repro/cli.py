@@ -326,9 +326,12 @@ def cmd_campaign(args) -> int:
 
 
 def _campaign(args) -> int:
+    import os
+
     from .errors import ConfigurationError
     from .fleet import (CampaignSpec, campaign_matrix, matrix_table,
                         rank_portfolio, run_campaign)
+    from .fleet.store import STOP_NAME
     if args.workers < 0:
         raise SystemExit("--workers must be >= 0 (0 = in-process)")
     try:
@@ -365,6 +368,12 @@ def _campaign(args) -> int:
         print(f"campaign: DEADLINE EXCEEDED after {args.deadline}s — "
               f"{len(report.records)} of the jobs finished, "
               f"no aggregate written")
+        return 1
+    if report.preempted:
+        stop = os.path.join(args.campaign_dir, STOP_NAME)
+        print(f"campaign: STOPPED — {len(report.records)} of "
+              f"{report.metrics.total_jobs} jobs finished, no aggregate "
+              f"written; delete {stop} and rerun with --resume to finish")
         return 1
     print(f"campaign: {len(report.records)} jobs over "
           f"{args.workers} workers")
@@ -422,10 +431,12 @@ def cmd_node(args) -> int:
 def cmd_cluster(args) -> int:
     """Cluster campaign coordination: submit, run locally, inspect."""
     import json
+    import os
 
     from .cluster import cluster_status, request_stop, run_clustered, submit
     from .errors import ClusterError, ConfigurationError
     from .fleet import CampaignSpec, jobs_for
+    from .fleet.store import STOP_NAME
 
     if args.cluster_command == "status":
         status = cluster_status(args.cluster_dir)
@@ -497,6 +508,13 @@ def cmd_cluster(args) -> int:
     if report.deadline_exceeded:
         print(f"cluster: DEADLINE EXCEEDED — {len(report.records)} jobs "
               f"committed, no aggregate written")
+        return 1
+    if report.preempted:
+        stop = os.path.join(args.cluster_dir, STOP_NAME)
+        print(f"cluster: STOPPED — {len(report.records)} of "
+              f"{report.metrics.total_jobs} jobs committed, no aggregate "
+              f"written; delete {stop}, then start repro node "
+              f"--cluster-dir {args.cluster_dir} to finish")
         return 1
     print(f"cluster: {len(report.records)} jobs over "
           f"{max(1, args.nodes)} nodes")

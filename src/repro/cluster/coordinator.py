@@ -199,15 +199,13 @@ def finalize(cluster_dir: str, node: str) -> str:
     byte-identity artifact: ok records (deduped, sorted by job id) and
     quarantined ids, exactly what a single-node
     :class:`~repro.fleet.orchestrator.CampaignRunner` writes — which is
-    what the chaos drill byte-compares.
+    what the chaos drill byte-compares.  The store itself is left as
+    committed: completion order, with any benign duplicate commit.
     """
     store = ResultStore(cluster_dir)
     records = dedupe_records(store.load())
     ok = [r for r in records if r.get("status") == "ok"]
     quarantined = [r for r in records if r.get("status") == "quarantined"]
-    # the store itself is rewritten sorted + deduped, mirroring the
-    # single-node orchestrator's end-of-campaign rewrite
-    store.rewrite(records)
     aggregate = store.write_aggregate(ok, quarantined)
     atomic_write(final_path(cluster_dir),
                  seal_record({"kind": "final", "node": node,
@@ -279,8 +277,8 @@ def cluster_status(cluster_dir: str,
     status["nodes"] = nodes
     status["nodes_alive"] = sum(
         1 for n in nodes if n["heartbeat_age_s"] <= horizon)
-    store = ResultStore(cluster_dir)
-    records = dedupe_records(store.load())
+    # a read-only view: tail() never quarantines, unlike load()
+    records = dedupe_records(ResultStore(cluster_dir).tail(0)[0])
     status["records"] = {
         "ok": sum(1 for r in records if r.get("status") == "ok"),
         "quarantined": sum(1 for r in records

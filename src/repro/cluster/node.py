@@ -106,6 +106,10 @@ class ClusterNode:
         self.batches_done = 0
         self.fenced = 0
         self._stop_reason: Optional[str] = None
+        #: the resume scan's state: committed job ids, and the store
+        #: offset they were read up to
+        self._committed: set = set()
+        self._store_offset = 0
 
     # -- node heartbeat record ----------------------------------------------
     def _beat(self, state: str) -> None:
@@ -165,13 +169,18 @@ class ClusterNode:
     def _completed_ids(self) -> set:
         """Job ids already committed to the shared store.
 
-        Callers that are about to *start work* take the store lock
-        around this scan plus the claim decision — that is the other
-        half of the fencing linearisation: a commit either happened
-        before the scan (we see it and skip) or will be fenced.
+        Reads only the records appended since the previous scan (the
+        store is append-only for the life of the campaign).  Callers
+        that are about to *start work* take the store lock around this
+        scan plus the claim decision — that is the other half of the
+        fencing linearisation: a commit either happened before the scan
+        (we see it and skip) or will be fenced.
         """
-        return {record["job_id"] for record in self.store.load()
-                if record.get("status") in ("ok", "quarantined")}
+        records, self._store_offset = self.store.tail(self._store_offset)
+        self._committed.update(
+            record["job_id"] for record in records
+            if record.get("status") in ("ok", "quarantined"))
+        return self._committed
 
     # -- job execution -------------------------------------------------------
     def _execute_with_retries(self, job_dict: Dict,

@@ -1,9 +1,9 @@
 """Durable files: the one place in the package that writes crash-safely.
 
-Every persistent JSON format — the result store and admission journal line
-logs, the cache entries, checkpoints, trace summary sidecars, and the
-cluster's lease/fence/manifest/done/final/node records — goes through the
-five primitives here:
+Every persistent JSON format — the result store, admission journal and
+checkpoint message-log line logs, the cache entries, checkpoints, trace
+summary sidecars, and the cluster's lease/fence/manifest/done/final/node
+records — goes through the primitives here:
 
 * :func:`canonical_json` — sorted, whitespace-free JSON: the hashing and
   checksum input form;
@@ -19,7 +19,12 @@ five primitives here:
   ``_crc32`` field over the canonical serialisation of the rest of the
   record.  A record without it is damaged, never "legacy";
 * :func:`file_lock` — an exclusive ``flock`` on a sidecar lock file,
-  released by the kernel if the holder dies.
+  released by the kernel if the holder dies;
+* :class:`SealedLog` — the one sealed line log built from the above: a
+  locked, fenced, fsynced append, one scanner that tells intact
+  records from damaged lines and an unterminated tail, and an atomic
+  rewrite.  The result store, the admission journal and every message
+  log are one each.
 
 Callers keep their own policy for a damaged record (quarantine, skip,
 fall back, rebuild); this module only detects the damage.
@@ -32,7 +37,7 @@ import os
 import secrets
 import zlib
 from contextlib import contextmanager
-from typing import Dict, Iterable, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 try:                                   # POSIX advisory file locking
     import fcntl
@@ -41,6 +46,9 @@ except ImportError:                    # pragma: no cover - non-POSIX host
 
 #: the record checksum field; stripped again by :func:`unseal_record`
 CRC_FIELD = "_crc32"
+
+#: a :class:`SealedLog`'s :func:`file_lock` sidecar: its path plus this
+LOCK_SUFFIX = ".lock"
 
 
 def canonical_json(payload) -> str:
@@ -151,3 +159,87 @@ def file_lock(path: str):
         if fcntl is not None:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         yield                          # closing the file drops the lock
+
+
+class SealedLog:
+    """A durable log of sealed records, one per line.
+
+    Each format keeps its own policy for what :meth:`read` reports as
+    damaged; the log only tells damage apart from an unterminated tail.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.lock_path = path + LOCK_SUFFIX
+
+    def append(self, record: Dict,
+               fence: Optional[Callable[[], None]] = None) -> int:
+        """Durably append ``record`` as one sealed line; returns the bytes
+        written.
+
+        The whole append holds the log's inter-process lock
+        (:func:`file_lock` on :attr:`lock_path`), so concurrent writers
+        serialize instead of interleaving; callers take the same lock to
+        make a read-then-append sequence atomic against other writers.
+        The line is fsynced before returning, so the worst a kill can
+        leave is one torn final line, which :meth:`read` reports as the
+        ``partial`` tail and the next append terminates.
+
+        ``fence`` runs inside the lock, before any byte is written; if
+        it raises (``repro.errors.StaleLeaseError`` by convention),
+        nothing is appended.  That is how a cluster node that lost its
+        lease while paused is kept from committing work that has since
+        migrated to another node.
+        """
+        line = seal_record(record)
+        with file_lock(self.lock_path):
+            if fence is not None:
+                fence()
+            append_line(self.path, line)
+        return len(line) + 1
+
+    def read(self, offset: int = 0
+             ) -> Tuple[List[Dict], List[Tuple[bytes, ValueError]], int,
+                        bytes]:
+        """Unseal the complete lines at or after byte ``offset``.
+
+        Returns ``(records, damaged, next_offset, partial)``: the intact
+        records in file order; each complete line that fails
+        :func:`unseal_record`, with its error; the offset just past the
+        last complete line; and the unterminated final fragment, which
+        is not consumed — an append in flight, or a torn tail from a
+        kill.  Blank lines are skipped.  A missing file reads as empty,
+        and an ``offset`` whose previous byte is not a newline (past the
+        end, mid-record, or a file replaced underneath) reads nothing
+        and holds position.
+        """
+        try:
+            with open(self.path, "rb") as handle:
+                if offset > 0:
+                    handle.seek(offset - 1)
+                    if handle.read(1) != b"\n":
+                        return [], [], offset, b""
+                chunk = handle.read()
+        except FileNotFoundError:
+            return [], [], offset, b""
+        complete, sep, partial = chunk.rpartition(b"\n")
+        records: List[Dict] = []
+        damaged: List[Tuple[bytes, ValueError]] = []
+        for line in complete.split(b"\n") if sep else ():
+            if not line.strip():
+                continue
+            try:
+                records.append(unseal_record(line))
+            except ValueError as exc:
+                damaged.append((line, exc))
+        return records, damaged, offset + len(complete) + len(sep), partial
+
+    def rewrite(self, records: Iterable[Dict]) -> None:
+        """Atomically replace the log with ``records``, in order.
+
+        The sealed lines are streamed to :func:`atomic_write` one at a
+        time, never joined into one string: a store line can hold a
+        ~1 MB payload.
+        """
+        atomic_write(self.path,
+                     (seal_record(record) + "\n" for record in records))

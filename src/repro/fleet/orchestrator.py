@@ -248,7 +248,8 @@ class CampaignRunner:
                 records: Dict[str, Dict], metrics: CampaignMetrics) -> None:
         records[job.job_id] = record
         metrics.note_record(record)
-        if self.store is not None:
+        # a resumed record is in the store already: the resume wrote it
+        if self.store is not None and record["source"] != "resumed":
             self.store.append(record)
         tel = _obs._active
         if tel is not None:
@@ -313,19 +314,20 @@ class CampaignRunner:
         records: Dict[str, Dict] = {}
         by_id = {job.job_id: job for job in self.jobs}
 
-        # resume: replay completed records from a previous (killed) run
-        prior = []
+        # resume: the completed records of a previous (killed) run
+        # replace the store in one atomic rewrite, so a kill here leaves
+        # the old store or the new one; without resume it starts empty
+        resumed = []
         if self.store is not None:
             if self.resume:
-                prior = [r for r in self.store.load()
-                         if r.get("status") == "ok"
-                         and r.get("job_id") in by_id]
-            self.store.clear()
-        for record in prior:
-            job = by_id[record["job_id"]]
-            self._finish(job, job_record(
-                job, "ok", "resumed", record.get("attempts", 1), 0.0,
-                payload=record["payload"]), records, metrics)
+                resumed = [job_record(
+                    by_id[r["job_id"]], "ok", "resumed",
+                    r.get("attempts", 1), 0.0, payload=r["payload"])
+                    for r in self.store.load()
+                    if r.get("status") == "ok" and r.get("job_id") in by_id]
+            self.store.rewrite(resumed)
+        for record in resumed:
+            self._finish(by_id[record["job_id"]], record, records, metrics)
 
         # content-addressed cache: hits never reach the pool
         for job in self.jobs:
@@ -395,7 +397,6 @@ class CampaignRunner:
             preempted=self._stop_reason == "stopped",
             deadline_exceeded=self._stop_reason == "deadline")
         if self.store is not None:
-            self.store.rewrite(ordered)
             report.store_path = self.store.path
             if not stopped_early:
                 report.aggregate_path = self.store.write_aggregate(

@@ -16,11 +16,16 @@ tail` consumes only newline-terminated lines, so a reader polling a live
 campaign (the ``repro.serve`` result stream) never misreads an append in
 flight as damage — it just picks the record up on its next poll.
 
-At campaign end the orchestrator rewrites the file sorted by job id, and
-writes the separate ``aggregate.json`` artifact containing only the
-deterministic fields (no wall-clock, no attempt counts), which is the
-thing asserted byte-identical across worker counts — and across
-crash/resume cycles (see docs/checkpoint.md).
+Each record is written once: the file keeps completion order, and
+nothing rewrites it once a run has started.  A run replaces it
+atomically before its first job — with the records it resumes under
+``--resume``, else with nothing — so a kill leaves the old store or the
+new one.  Readers that need job order sort for themselves.  At campaign
+end the orchestrator writes the separate ``aggregate.json`` artifact,
+sorted by job id and holding only the deterministic fields (no
+wall-clock, no attempt counts), which is the thing asserted
+byte-identical across worker counts — and across crash/resume cycles
+(see docs/checkpoint.md).
 
 A ``STOP`` file in the campaign directory (:func:`request_stop`) asks
 every executor of the campaign — the in-process runner, its pool
@@ -33,10 +38,9 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from ..durable import (append_line, atomic_write, canonical_json, file_lock,
-                       seal_record, unseal_record)
+from ..durable import SealedLog, atomic_write, canonical_json
 from .spec import CampaignJob
 
 STORE_NAME = "campaign.jsonl"
@@ -45,9 +49,6 @@ STOP_NAME = "STOP"
 
 #: damaged lines are preserved here, one per line, for post-mortems
 QUARANTINE_SUFFIX = ".quarantine"
-
-#: advisory inter-process lock guarding appends (and fenced commits)
-LOCK_SUFFIX = ".lock"
 
 
 def job_record(job: CampaignJob, status: str, source: str, attempts: int,
@@ -77,81 +78,20 @@ def stop_requested(directory: str) -> bool:
     return os.path.exists(os.path.join(directory, STOP_NAME))
 
 
-class ResultStore:
-    """Append-oriented JSONL record log with atomic rewrite."""
+class ResultStore(SealedLog):
+    """The campaign's sealed record log (:class:`~repro.durable.SealedLog`),
+    its quarantine policy for damaged lines, and the aggregate artifact.
+
+    :meth:`append` holds the store's lock and takes the cluster's commit
+    ``fence``; :meth:`rewrite` atomically replaces the whole log.
+    """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, STORE_NAME)
+        super().__init__(os.path.join(directory, STORE_NAME))
         self.aggregate_path = os.path.join(directory, AGGREGATE_NAME)
         self.quarantine_path = self.path + QUARANTINE_SUFFIX
-        self.lock_path = self.path + LOCK_SUFFIX
-
-    def append(self, record: Dict,
-               fence: Optional[Callable[[], None]] = None) -> None:
-        """Durably append one sealed record line.
-
-        The line is flushed and fsynced before returning, so a record the
-        caller believes is stored survives an immediate process kill;
-        the worst a crash can leave is one torn final line, which
-        :meth:`load` skips and the next append terminates, so it reads
-        as one damaged line and no later record is lost.  The whole
-        append holds the store's inter-process lock
-        (:func:`~repro.durable.file_lock` on :attr:`lock_path`), so
-        concurrent writer processes serialize instead of interleaving;
-        callers take the same lock to make a read-then-append sequence
-        atomic against other writers.
-
-        ``fence`` is the stale-claim guard for multi-node execution: a
-        callable invoked *inside* the lock, before any byte is written.
-        If it raises (``repro.errors.StaleLeaseError`` by convention),
-        nothing is appended — which is how a revived node that lost its
-        lease while paused is prevented from double-committing work that
-        has since migrated to another node.
-        """
-        with file_lock(self.lock_path):
-            if fence is not None:
-                fence()
-            append_line(self.path, seal_record(record))
-
-    def _read(self, offset: int,
-              on_damaged: Callable[[bytes, ValueError], None]
-              ) -> Tuple[List[Dict], int, bytes]:
-        """Unseal the complete lines at or after byte ``offset``.
-
-        Returns ``(records, next_offset, partial)`` where ``partial`` is
-        the unterminated final fragment.  An ``offset`` that no longer
-        sits on a record boundary (an atomic :meth:`rewrite` happened
-        underneath) reads nothing and holds position.
-        """
-        try:
-            with open(self.path, "rb") as handle:
-                if offset > 0:
-                    handle.seek(offset - 1)
-                    if handle.read(1) != b"\n":
-                        return [], offset, b""
-                chunk = handle.read()
-        except FileNotFoundError:
-            return [], offset, b""
-        complete, sep, partial = chunk.rpartition(b"\n")
-        records: List[Dict] = []
-        for line in complete.split(b"\n") if sep else ():
-            if not line.strip():
-                continue
-            try:
-                records.append(unseal_record(line))
-            except ValueError as exc:
-                on_damaged(line, exc)
-        return records, offset + len(complete) + len(sep), partial
-
-    def _quarantine_line(self, line: bytes, exc: ValueError) -> None:
-        warnings.warn(
-            f"result store {self.path}: skipping damaged record "
-            f"({exc}); preserved in {self.quarantine_path}",
-            RuntimeWarning, stacklevel=4)
-        with open(self.quarantine_path, "ab") as handle:
-            handle.write(line + b"\n")
 
     def load(self) -> List[Dict]:
         """Read back every intact record, quarantining damaged lines.
@@ -167,7 +107,14 @@ class ResultStore:
         any reader polling a live store would "quarantine" every append
         it happened to race — the concurrent-tailer bug.)
         """
-        records, _, partial = self._read(0, self._quarantine_line)
+        records, damaged, _, partial = self.read()
+        for line, exc in damaged:
+            warnings.warn(
+                f"result store {self.path}: skipping damaged record "
+                f"({exc}); preserved in {self.quarantine_path}",
+                RuntimeWarning, stacklevel=2)
+            with open(self.quarantine_path, "ab") as handle:
+                handle.write(line + b"\n")
         if partial.strip():
             warnings.warn(
                 f"result store {self.path}: ignoring an unterminated "
@@ -188,31 +135,19 @@ class ResultStore:
         read-only observer and must not race the writer (or other
         tailers) for the quarantine file.
 
-        Returns ``(records, next_offset)``.  If an atomic :meth:`rewrite`
-        happened underneath — the file shrank below ``offset``, or
-        ``offset`` no longer sits on a record boundary (the byte before
-        it is not a newline) — the tailer holds its position and returns
-        no records rather than replaying lines it already delivered or
-        misreading mid-line bytes as damage.
+        Returns ``(records, next_offset)``.  An ``offset`` that does not
+        sit on a record boundary — past the end, or the byte before it
+        is not a newline (a client's stale or made-up offset, or a store
+        the resume replaced underneath) — holds its position and returns
+        no records rather than replaying lines or misreading mid-line
+        bytes as damage.
         """
-        def skip(line: bytes, exc: ValueError) -> None:
+        records, damaged, next_offset, _ = self.read(max(offset, 0))
+        for _, exc in damaged:
             warnings.warn(
                 f"result store {self.path}: tail skipped a damaged "
-                f"record ({exc})", RuntimeWarning, stacklevel=4)
-
-        records, next_offset, _ = self._read(max(offset, 0), skip)
+                f"record ({exc})", RuntimeWarning, stacklevel=2)
         return records, next_offset
-
-    def rewrite(self, records: Iterable[Dict]) -> None:
-        """Atomically replace the log with ``records`` (caller-sorted)."""
-        atomic_write(self.path,
-                     (seal_record(record) + "\n" for record in records))
-
-    def clear(self) -> None:
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
 
     def write_aggregate(self, records: Iterable[Dict],
                         quarantined: Iterable[Dict]) -> str:

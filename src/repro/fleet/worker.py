@@ -132,7 +132,7 @@ def checkpoint_path(checkpoint_dir: str, job: Dict) -> str:
 def _discard_checkpoints(path: str) -> None:
     """Remove a finished job's checkpoint, its rotated fallback, and the
     message log (plus lock sidecar) the two share."""
-    log = MessageLog(message_log_path(path))
+    log = MessageLog(message_log_path(path)).log
     for candidate in (path, path + PREV_SUFFIX, log.path, log.lock_path):
         try:
             os.unlink(candidate)

@@ -7,14 +7,13 @@ its tenant accounting, and its id sequence by replaying the file —
 closing the loop with the per-job checkpoints (docs/checkpoint.md) that
 were already surviving crashes but sitting on disk unclaimed.
 
-The format is the :mod:`repro.fleet.store` line format exactly: one
-JSON object per line, each carrying a ``_crc32`` over the canonical
-serialisation of the rest (:func:`repro.durable.seal_record`), so a
-torn tail from a SIGKILL mid-append and a bit-flipped line from a bad
-disk are both detected on replay.  Appends are flushed and fsynced
-before returning (:func:`repro.durable.append_line`) — the write-ahead
-property is only real if the line is durable before the in-memory state
-machine moves.
+The journal is a :class:`repro.durable.SealedLog`, like the result
+store: one JSON object per line, each carrying a ``_crc32`` over the
+canonical serialisation of the rest, so a torn tail from a SIGKILL
+mid-append and a bit-flipped line from a bad disk are both detected on
+replay.  Appends are flushed and fsynced before returning — the
+write-ahead property is only real if the line is durable before the
+in-memory state machine moves.
 
 Record kinds::
 
@@ -36,14 +35,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..durable import (append_line, atomic_write, file_lock, seal_record,
-                       unseal_record)
+from ..durable import SealedLog
 
 JOURNAL_NAME = "journal.jsonl"
-
-#: advisory inter-process lock guarding appends (several cluster nodes
-#: append to one journal)
-LOCK_SUFFIX = ".lock"
 
 #: campaign id shape the sequence watermark is recovered from
 _CAMPAIGN_ID = re.compile(r"^cmp-(\d+)$")
@@ -54,22 +48,20 @@ class AdmissionJournal:
 
     ``name`` selects the file inside ``directory`` — the default is the
     service admission journal; ``repro.cluster`` reuses the exact same
-    machinery (seal/unseal lines, torn-tail-tolerant replay, atomic
-    compaction) for its lease/claim event log under ``cluster.jsonl``.
+    journal (and its torn-tail-tolerant replay) for its lease/claim
+    event log under ``cluster.jsonl``, which several nodes append to.
     """
 
     def __init__(self, directory: str, name: str = JOURNAL_NAME) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, name)
-        self.lock_path = self.path + LOCK_SUFFIX
+        self.log = SealedLog(os.path.join(directory, name))
+        self.path = self.log.path
 
     def append(self, op: str, **fields) -> Dict:
         """Durably append one journal record; returns the record."""
-        record = {"op": op}
-        record.update(fields)
-        with file_lock(self.lock_path):
-            append_line(self.path, seal_record(record))
+        record = {"op": op, **fields}
+        self.log.append(record)
         return record
 
     def admit(self, campaign_id: str, tenant: str, priority: int,
@@ -94,33 +86,21 @@ class AdmissionJournal:
         crash interrupted; its state transition never took effect, so
         skipping it is the correct replay semantics, not data loss.
         """
-        records: List[Dict] = []
-        try:
-            with open(self.path, "rb") as handle:
-                content = handle.read()
-        except FileNotFoundError:
-            return records
-        complete, _, partial = content.rpartition(b"\n")
+        records, damaged, _, partial = self.log.read()
         if partial.strip():
             warnings.warn(
                 f"admission journal {self.path}: ignoring a torn tail "
                 f"line ({len(partial)} bytes) from an interrupted append",
                 RuntimeWarning, stacklevel=2)
-        for line in complete.split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                records.append(unseal_record(line))
-            except ValueError as exc:
-                warnings.warn(
-                    f"admission journal {self.path}: skipping a damaged "
-                    f"record ({exc})", RuntimeWarning, stacklevel=2)
+        for _, exc in damaged:
+            warnings.warn(
+                f"admission journal {self.path}: skipping a damaged "
+                f"record ({exc})", RuntimeWarning, stacklevel=2)
         return records
 
     def rewrite(self, records: List[Dict]) -> None:
         """Atomically replace the journal (compaction after recovery)."""
-        atomic_write(self.path,
-                     (seal_record(record) + "\n" for record in records))
+        self.log.rewrite(records)
 
 
 @dataclass

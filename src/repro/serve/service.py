@@ -580,8 +580,9 @@ class CampaignService:
         clear_stop(campaign.directory)
         self._journal_state(campaign, RUNNING)
         campaign.state = RUNNING
-        # the store is cleared and completed records re-appended on every
-        # attempt, so the tailer restarts from byte 0 and dedups by job id
+        # each attempt's run replaces the store atomically with the
+        # records it resumes before its first job, so the tailer
+        # restarts from byte 0 and dedups by job id
         campaign.tail_offset = 0
         self._gauge_queue()
         campaign.emit("campaign.started", attempt=campaign.attempts,
@@ -604,7 +605,12 @@ class CampaignService:
                 await tailer
             except asyncio.CancelledError:
                 pass
-            self._drain_results(campaign)    # final, complete pass
+            # final, complete pass from byte 0: a resumed run replaces
+            # the store, perhaps after the tailer's first poll read the
+            # previous attempt's store past where the new one has a
+            # record boundary; dedup keeps each result to one event
+            campaign.tail_offset = 0
+            self._drain_results(campaign)
             self._running_campaigns.pop(campaign.campaign_id, None)
 
         if error is not None:

@@ -159,6 +159,38 @@ def test_cluster_run_rejects_negative_retries(tmp_path):
               "--retries", "-1"])
 
 
+def test_campaign_stopped_by_stop_file_says_so(capsys, tmp_path):
+    """A STOPped campaign is not a finished one: exit 1, no matrix, and
+    the way to finish it."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "STOP").write_text("stop\n")
+    code, out = run_cli(capsys, "campaign", "--count", "2",
+                        "--cycles", "3000", "--workers", "0",
+                        "--campaign-dir", str(run))
+    assert code == 1
+    assert "campaign: STOPPED" in out
+    assert "0 of 2 jobs finished" in out
+    assert f"delete {run / 'STOP'} and rerun with --resume to finish" in out
+    assert "customer00" not in out      # no matrix
+    assert not (run / "aggregate.json").exists()
+
+
+def test_cluster_run_stopped_by_stop_file_says_so(capsys, tmp_path):
+    cdir = tmp_path / "c"
+    cdir.mkdir()
+    (cdir / "STOP").write_text("stop\n")
+    code, out = run_cli(capsys, "cluster", "run", "--cluster-dir", str(cdir),
+                        "--count", "2", "--cycles", "3000", "--nodes", "0")
+    assert code == 1
+    assert "cluster: STOPPED" in out
+    assert "0 of 2 jobs committed" in out
+    assert (f"delete {cdir / 'STOP'}, then start repro node "
+            f"--cluster-dir {cdir} to finish") in out
+    assert "jobs total" not in out      # no summary table
+    assert not (cdir / "aggregate.json").exists()
+
+
 def test_campaign_rank(capsys, tmp_path):
     code, out = run_cli(capsys, "campaign", "--count", "2",
                         "--cycles", "15000", "--workers", "0",

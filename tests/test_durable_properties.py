@@ -23,6 +23,11 @@ reader:
 "Rejected" means the reader's own policy: the store quarantines, the
 journal skips, a lease reads as absent, the cache misses, and the
 checkpoint, cluster-file and summary readers raise.
+
+The three line logs share one scanner, ``SealedLog.read`` in
+:mod:`repro.durable`; its cases (damage mid-log, invalid UTF-8, blank
+lines, a missing file, offsets on and off a record boundary, an
+unterminated tail) are tested once, at the end of this file.
 """
 
 import json
@@ -40,7 +45,7 @@ from repro.checkpoint import (CheckpointError, MessageLog, load_checkpoint,
                               save_checkpoint)
 from repro.cluster.coordinator import _read_sealed
 from repro.cluster.lease import Lease, LeaseManager
-from repro.durable import CRC_FIELD, atomic_write, seal_record
+from repro.durable import CRC_FIELD, SealedLog, atomic_write, seal_record
 from repro.errors import ClusterError, TraceStoreError
 from repro.fleet.cache import ResultCache
 from repro.fleet.spec import CampaignJob
@@ -371,3 +376,91 @@ def test_append_after_a_torn_final_line_loses_nothing(name, data):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")    # the fragment is damage
             assert LOGS[name](directory) == prefix + whole + [new_value]
+
+
+# -- the shared line-log reader ----------------------------------------------
+def _sealed_log(directory):
+    return SealedLog(os.path.join(directory, "x.jsonl"))
+
+
+def _append_raw(log, data):
+    with open(log.path, "ab") as handle:
+        handle.write(data)
+
+
+def test_log_reader_returns_damage_mid_log_and_keeps_what_follows(tmp_path):
+    log = _sealed_log(str(tmp_path))
+    log.append({"n": 1})
+    damaged_line = seal_record({"n": 2}).replace('"n": 2', '"n": 3').encode()
+    _append_raw(log, damaged_line + b"\n")
+    log.append({"n": 4})
+    records, damaged, next_offset, partial = log.read()
+    assert records == [{"n": 1}, {"n": 4}]
+    assert [line for line, _ in damaged] == [damaged_line]
+    assert "CRC" in str(damaged[0][1])
+    assert next_offset == os.path.getsize(log.path) and partial == b""
+
+
+def test_log_reader_counts_invalid_utf8_as_damage(tmp_path):
+    log = _sealed_log(str(tmp_path))
+    line = seal_record({"name": "ab"}).encode().replace(b"ab", b"\xc3\x28")
+    _append_raw(log, line + b"\n")
+    log.append({"n": 1})
+    records, damaged, _, _ = log.read()
+    assert records == [{"n": 1}]
+    assert [line for line, _ in damaged] == [line]
+    assert isinstance(damaged[0][1], UnicodeDecodeError)
+
+
+def test_log_reader_skips_blank_lines(tmp_path):
+    log = _sealed_log(str(tmp_path))
+    _append_raw(log, b"\n  \n")
+    log.append({"n": 1})
+    _append_raw(log, b"\n\t\n")
+    log.append({"n": 2})
+    assert log.read() == ([{"n": 1}, {"n": 2}], [],
+                          os.path.getsize(log.path), b"")
+
+
+def test_log_reader_reads_a_missing_file_as_empty(tmp_path):
+    log = _sealed_log(str(tmp_path))
+    assert log.read() == ([], [], 0, b"")
+    assert log.read(17) == ([], [], 17, b"")
+    assert not os.path.exists(log.path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(values=st.lists(objects, min_size=1, max_size=4))
+def test_log_reader_reads_from_boundaries_and_holds_elsewhere(values):
+    """From a record boundary the reader returns the records after it;
+    from any offset mid-record or past the end it returns nothing and
+    holds position."""
+    with tempfile.TemporaryDirectory() as directory:
+        log = _sealed_log(directory)
+        boundaries = {0: 0}
+        for count, value in enumerate(values, 1):
+            log.append(value)
+            boundaries[os.path.getsize(log.path)] = count
+        size = os.path.getsize(log.path)
+        for offset in range(size + 3):
+            if offset in boundaries:
+                expected = (values[boundaries[offset]:], [], size, b"")
+            else:
+                expected = ([], [], offset, b"")
+            assert log.read(offset) == expected
+
+
+def test_log_reader_takes_an_unterminated_tail_once_it_lands(tmp_path):
+    log = _sealed_log(str(tmp_path))
+    log.append({"n": 1})
+    line = seal_record({"n": 2}) + "\n"
+    half = line[:len(line) // 2].encode()
+    _append_raw(log, half)
+    records, damaged, offset, partial = log.read()
+    assert (records, damaged, partial) == ([{"n": 1}], [], half)
+    assert log.read(offset) == ([], [], offset, half)   # not consumed
+    _append_raw(log, line[len(line) // 2:].encode())    # its newline lands
+    records, damaged, next_offset, partial = log.read(offset)
+    assert (records, damaged, partial) == ([{"n": 2}], [], b"")
+    assert next_offset == os.path.getsize(log.path)
+    assert log.read(next_offset) == ([], [], next_offset, b"")

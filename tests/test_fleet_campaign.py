@@ -126,6 +126,79 @@ def test_resume_after_kill(baseline, tmp_path):
         assert a.read() == b.read()
 
 
+class _Killed(BaseException):
+    """Stands in for a SIGKILL: nothing in the runner catches it."""
+
+
+def test_resume_replaces_the_store_atomically(baseline, tmp_path,
+                                              monkeypatch):
+    """A resumed run killed before its work is done loses no record.
+
+    The resume writes the resumed records in one atomic rewrite, not one
+    append each after emptying the store, so a kill at any append
+    leaves every prior record in place.
+    """
+    from repro.fleet.store import ResultStore
+    _, report = baseline
+    campaign_dir = tmp_path / "resumed"
+    campaign_dir.mkdir()
+    with open(report.store_path) as handle:
+        (campaign_dir / "campaign.jsonl").write_text(handle.read())
+    appends = []
+    append = ResultStore.append
+
+    def killed_at_second_append(self, record, fence=None):
+        appends.append(record["job_id"])
+        if len(appends) == 2:
+            raise _Killed()
+        return append(self, record, fence=fence)
+
+    monkeypatch.setattr(ResultStore, "append", killed_at_second_append)
+    try:
+        run_campaign(make_jobs(), workers=0, campaign_dir=str(campaign_dir),
+                     resume=True)
+    except _Killed:
+        pass
+    kept = ResultStore(str(campaign_dir)).load()
+    assert sorted(r["job_id"] for r in kept) \
+        == sorted(r["job_id"] for r in report.records)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 9])
+@pytest.mark.parametrize("executor", ["pool", "cluster"])
+def test_lagging_tailer_sees_every_record_once(tmp_path, monkeypatch,
+                                               executor, seed):
+    """A tailer that polls just before each append, and once after the
+    run, receives every job's record exactly once: nothing rewrites the
+    store under its offset."""
+    from repro.cluster import run_clustered
+    from repro.fleet import CampaignSpec, jobs_for
+    from repro.fleet.store import ResultStore
+    spec = CampaignSpec(count=4, cycles=3000, seed=seed)
+    directory = str(tmp_path / "run")
+    seen, offset = [], [0]
+
+    def poll(store):
+        records, offset[0] = store.tail(offset[0])
+        seen.extend(record["job_id"] for record in records)
+
+    append = ResultStore.append
+
+    def lagging(self, record, fence=None):
+        poll(self)
+        return append(self, record, fence=fence)
+
+    monkeypatch.setattr(ResultStore, "append", lagging)
+    if executor == "pool":
+        report = run_campaign(spec, workers=0, campaign_dir=directory)
+    else:
+        report = run_clustered(jobs_for(spec), directory, nodes=0,
+                               checkpoint_every=1000)
+    poll(ResultStore(directory))
+    assert len(report.ok_records) == 4
+    assert sorted(seen) == sorted(job.job_id for job in jobs_for(spec))
+
+
 def test_without_resume_everything_reruns(baseline, tmp_path):
     _, report = baseline
     campaign_dir = tmp_path / "cold"
@@ -223,7 +296,7 @@ def test_store_append_and_rewrite_roundtrip(tmp_path):
     assert [r["job_id"] for r in store.load()] == ["b", "a"]
     store.rewrite(sorted(store.load(), key=lambda r: r["job_id"]))
     assert [r["job_id"] for r in store.load()] == ["a", "b"]
-    store.clear()
+    store.rewrite([])
     assert store.load() == []
 
 
@@ -308,10 +381,12 @@ def test_store_tail_holds_position_on_shrink(tmp_path):
 
 
 def test_store_tail_holds_position_on_same_size_rewrite(tmp_path):
-    """A rewrite that does NOT shrink the file must not desync the tailer.
+    """An offset off every record boundary must not desync the tailer.
 
-    Cluster finalization rewrites the store with the same records sorted
-    by job id — roughly the same byte count — so a tailer's offset can
+    No run rewrites its store once started, but the HTTP results page
+    takes its offset from the client, and a resumed run replaces the
+    store a tailer may hold an offset into.  Here the same records come
+    back sorted — roughly the same byte count — so an old offset can
     land mid-line in the new content.  The tailer must detect the lost
     record boundary (the byte before its offset is no longer a newline)
     and hold position silently instead of warning about "damage" it

@@ -220,3 +220,49 @@ def test_weighted_tenant_gets_more_slots_over_time(tmp_path):
                          "heavy", "light"]
         await service.stop()
     run(main())
+
+
+def test_resumed_attempt_streams_every_result_once(tmp_path, monkeypatch):
+    """The tailer may read the previous attempt's store before the
+    resumed run replaces it; every result still streams exactly once."""
+    import threading
+
+    from repro.fleet.store import ResultStore
+    spec = {"count": 3, "cycles": 8_000, "seed": 9}
+    offline = run_campaign(CampaignSpec(**spec), workers=0,
+                           campaign_dir=str(tmp_path / "offline"))
+    first = offline.records[0]
+
+    polled = threading.Event()
+    tail, rewrite = ResultStore.tail, ResultStore.rewrite
+
+    def tail_then_signal(self, offset=0):
+        result = tail(self, offset)
+        polled.set()
+        return result
+
+    def rewrite_after_a_poll(self, records):
+        polled.wait(10)              # the tailer read the old store first
+        return rewrite(self, records)
+
+    monkeypatch.setattr(ResultStore, "tail", tail_then_signal)
+    monkeypatch.setattr(ResultStore, "rewrite", rewrite_after_a_poll)
+
+    async def main():
+        service = CampaignService(root=str(tmp_path / "serve"),
+                                  quota=open_quota(), slots=1)
+        campaign = service.submit("t1", dict(spec))
+        # as an evicted first attempt leaves it: one record, streamed
+        campaign.store.append(first)
+        campaign.streamed_jobs.add(first["job_id"])
+        campaign.attempts = 1
+        await service._run(campaign)
+        return campaign
+    campaign = run(main())
+
+    assert campaign.state == "completed"
+    events, _ = campaign.buffer.since(0)
+    streamed = [json.loads(data)["job_id"] for _, name, data in events
+                if name == "job.result"]
+    assert sorted(streamed) == sorted(
+        record["job_id"] for record in offline.records[1:])
