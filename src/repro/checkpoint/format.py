@@ -1,18 +1,20 @@
 """Checkpoint file format: sealed, schema-versioned, atomic.
 
-A checkpoint is one sealed JSON record (:func:`repro.durable.seal_record`)::
+A checkpoint is one sealed JSON record (:func:`repro.durable.seal_record`),
+written on one line with no spaces (shown spread out here)::
 
-    {"_crc32": 3735928559,             # over the canonical rest
-     "body": {...},                    # tagged-JSON simulation state
-     "format": "repro-checkpoint",
-     "meta": {...},                    # cycle, kind, job digest, ...
-     "schema": 3,                      # file-format revision
-     "version": "0.1.0"}               # repro package that wrote it
+    {"_crc32":3735928559,              # over the canonical rest
+     "body":{...},                     # tagged-JSON simulation state
+     "format":"repro-checkpoint",
+     "meta":{...},                     # cycle, kind, job digest, ...
+     "schema":3,                       # file-format revision
+     "version":"0.1.0"}                # repro package that wrote it
 
 The CRC covers the canonical (sorted, whitespace-free) serialisation of
-every other field, so any flipped bit, truncated tail, or hand-edited
-field is detected before a single value reaches a component's
-``restore_state``.  Every rejection raises
+every other field — the bytes that follow the seal — so any flipped bit,
+truncated tail, or hand-edited field is detected before a single value
+reaches a component's ``restore_state``.  A checkpoint in the spaced
+form earlier releases wrote still reads.  Every rejection raises
 :class:`~repro.errors.CheckpointError` — retryable, because the caller's
 correct reaction is to fall back to an older checkpoint or to cycle 0.
 

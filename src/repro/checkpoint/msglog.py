@@ -7,8 +7,8 @@ window's bounds, as positions in this log, and each save appends the
 messages the FIFO took since the previous save as one sealed line — a
 *segment* (:func:`repro.durable.seal_record`)::
 
-    {"_crc32": 123, "after": 5000, "cycle": 10000,
-     "messages": [{...}, ...], "start": 812}
+    {"_crc32":123,"after":5000,"cycle":10000,
+     "messages":[{...},...],"start":812}
 
 A segment replaces the log's tail from position ``start`` with its
 messages.  Usually ``start`` is where the log ended; a FILL-mode

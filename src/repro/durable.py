@@ -7,6 +7,9 @@ records — goes through the primitives here:
 
 * :func:`canonical_json` — sorted, whitespace-free JSON: the hashing and
   checksum input form;
+* :class:`Canonical` — a read-only dict that carries its canonical text,
+  rendered once where the value is made and spliced wherever it is
+  written again;
 * :func:`atomic_write` — replace a whole file so that a reader (or a
   machine that lost power) sees the old bytes or the new bytes, never a
   mix: write a unique temp file in the same directory, fsync it, rename
@@ -17,7 +20,9 @@ records — goes through the primitives here:
   file);
 * :func:`seal_record` / :func:`unseal_record` — the JSON record seal: a
   ``_crc32`` field over the canonical serialisation of the rest of the
-  record.  A record without it is damaged, never "legacy";
+  record, written in front of that serialisation, so a line is rendered
+  once and checked against its own bytes.  A record without it is
+  damaged, never "legacy";
 * :func:`file_lock` — an exclusive ``flock`` on a sidecar lock file,
   released by the kernel if the holder dies;
 * :class:`SealedLog` — the one sealed line log built from the above: a
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import secrets
 import zlib
 from contextlib import contextmanager
@@ -50,9 +56,51 @@ CRC_FIELD = "_crc32"
 #: a :class:`SealedLog`'s :func:`file_lock` sidecar: its path plus this
 LOCK_SUFFIX = ".lock"
 
+#: the head of a line :func:`seal_record` writes: the seal, then ``,``
+#: and the rest of the body, or the body's closing ``}``
+_SEALED_HEAD = re.compile(
+    rb'\{"' + CRC_FIELD.encode() + rb'":(0|[1-9][0-9]{0,9})(?:,|(?=\}))')
+
+
+class Canonical(dict):
+    """A read-only dict that carries its own :func:`canonical_json` text.
+
+    The value is rendered once, where it is made; :func:`canonical_json`
+    (and so :func:`seal_record`) splices :attr:`text` for a top-level
+    member of this type instead of rendering the value again.  Writes
+    to the dict are refused, so the text cannot go stale.  It pickles
+    with its text, so a pool worker ships the text it rendered.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, value: Dict, text: Optional[str] = None) -> None:
+        super().__init__(value)
+        self.text = canonical_json(value) if text is None else text
+
+    def __reduce__(self):
+        return Canonical, (dict(self), self.text)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Canonical dict is read-only: its text is fixed")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
 
 def canonical_json(payload) -> str:
-    """Canonical (sorted, whitespace-free) JSON used for hashing."""
+    """Canonical (sorted, whitespace-free) JSON used for hashing.
+
+    A :class:`Canonical` value, and a :class:`Canonical` member of a
+    dict with string keys, is spliced as its text, not rendered again.
+    """
+    if isinstance(payload, Canonical):
+        return payload.text
+    if isinstance(payload, dict) and any(
+            isinstance(value, Canonical) for value in payload.values()):
+        return "{" + ",".join(f"{json.dumps(key)}:{canonical_json(value)}"
+                              for key, value in sorted(payload.items())) \
+            + "}"
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -121,10 +169,18 @@ def append_line(path: str, line: str) -> None:
 
 
 def seal_record(record: Dict) -> str:
-    """Render ``record`` as one JSON line with its ``_crc32`` seal."""
-    body = {key: value for key, value in record.items() if key != CRC_FIELD}
-    crc = zlib.crc32(canonical_json(body).encode("utf-8"))
-    return json.dumps({**body, CRC_FIELD: crc}, sort_keys=True)
+    """Render ``record`` as one JSON line with its ``_crc32`` seal.
+
+    The canonical body is rendered once and the seal goes in front of
+    it: ``{"_crc32":N,`` then the body without its opening brace
+    (``{"_crc32":N}`` for an empty body), N being the CRC-32 of the
+    body.  Any JSON reader parses the line back to the record plus N.
+    """
+    body = canonical_json(
+        {key: value for key, value in record.items() if key != CRC_FIELD})
+    crc = zlib.crc32(body.encode("utf-8"))
+    return f'{{"{CRC_FIELD}":{crc}' + ("," if len(body) > 2 else "") \
+        + body[1:]
 
 
 def unseal_record(line: Union[str, bytes]) -> Dict:
@@ -134,6 +190,28 @@ def unseal_record(line: Union[str, bytes]) -> Dict:
     reported as damage (``UnicodeDecodeError`` is a ``ValueError``) like
     any other.
     """
+    return unseal_body(line)[0]
+
+
+def unseal_body(line: Union[str, bytes]) -> Tuple[Dict, Optional[bytes]]:
+    """:func:`unseal_record`, plus the canonical body its seal covers.
+
+    A line as :func:`seal_record` writes it is checked against its own
+    bytes — the CRC-32 of ``{`` plus everything after the seal, less a
+    trailing newline — and parsed once; the body comes back as those
+    bytes.  Any other line, such as the spaced form written before the
+    seal went in front (``json.dumps(sort_keys=True)``) or a damaged
+    one, is parsed and its rest rendered canonically to be checked;
+    its body comes back as ``None``.
+    """
+    data = line.encode("utf-8") if isinstance(line, str) else line
+    if data.endswith(b"\n"):
+        data = data[:-1]
+    head = _SEALED_HEAD.match(data)
+    if head is not None:
+        body = b"{" + data[head.end():]
+        if zlib.crc32(body) == int(head.group(1)):
+            return json.loads(body), body
     record = json.loads(line)          # may raise JSONDecodeError
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
@@ -144,7 +222,7 @@ def unseal_record(line: Union[str, bytes]) -> Dict:
     if crc != stored:
         raise ValueError(
             f"record failed its CRC check (stored {stored}, computed {crc})")
-    return record
+    return record, None
 
 
 @contextmanager

@@ -18,6 +18,10 @@ multi-node fleet's dedupe layer):
   so a bit-flipped, unsealed or foreign entry is **quarantined** (moved
   to ``<digest>.json.quarantine`` for post-mortems) and reported as a
   miss instead of being served as science.
+
+A hit is served as a :class:`~repro.durable.Canonical` whose text is
+sliced from the verified entry, so re-running a campaign from the cache
+renders no payload: the store line and the aggregate splice the text.
 """
 
 from __future__ import annotations
@@ -26,12 +30,27 @@ import os
 import warnings
 from typing import Dict, Optional
 
-from ..durable import atomic_write, seal_record, unseal_record
+from ..durable import (Canonical, atomic_write, canonical_json, seal_record,
+                       unseal_body)
 from ..obs import runtime as _obs
 from .spec import CampaignJob
 
 #: a damaged entry is preserved under this suffix, never served again
 QUARANTINE_SUFFIX = ".quarantine"
+
+
+def _payload(entry: Dict, body: Optional[bytes]) -> Dict:
+    """The entry's payload, with its text when ``body`` (the entry's
+    verified canonical bytes) is the other members' canonical head, then
+    the payload, then the closing brace; else the plain dict."""
+    if body is not None:
+        head = canonical_json({key: value for key, value in entry.items()
+                               if key != "payload"})
+        head = head[:-1].encode("utf-8") + b',"payload":'
+        if body.startswith(head) and body.endswith(b"}") and body.isascii():
+            return Canonical(entry["payload"],
+                             body[len(head):-1].decode("ascii"))
+    return entry["payload"]
 
 
 class ResultCache:
@@ -73,7 +92,7 @@ class ResultCache:
         path = self._path(job.digest)
         try:
             with open(path, "rb") as handle:
-                entry = unseal_record(handle.read())
+                entry, body = unseal_body(handle.read())
         except FileNotFoundError:
             self._note("miss", job)
             return None
@@ -87,7 +106,7 @@ class ResultCache:
                            f"{str(entry.get('digest'))[:12]}..., "
                            f"job is {job.digest[:12]}...")
         self._note("hit", job)
-        return entry["payload"]
+        return _payload(entry, body)
 
     def _note(self, result: str, job: CampaignJob) -> None:
         if result == "hit":

@@ -48,7 +48,7 @@ from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..faults import FaultPlan
@@ -202,22 +202,26 @@ class CampaignRunner:
         return self._stop_reason is not None
 
     def _run_round(self, shards: List[List[CampaignJob]],
-                   attempt: int) -> List[Dict]:
-        """Execute one round of shards, surviving pool breakage."""
+                   attempt: int) -> Iterator[List[Dict]]:
+        """Execute one round of shards, surviving pool breakage.
+
+        Yields each shard's outcomes as soon as they are in, in shard
+        order, so the caller records a shard's results before the next
+        shard is waited on.
+        """
         if self.workers == 0:
-            outcomes: List[Dict] = []
             for shard in shards:
-                outcomes.extend(
-                    run_shard([job.to_dict() for job in shard], attempt,
-                              self.fault_plan, self.checkpoint,
-                              self._should_stop, self.backend))
+                outcomes = run_shard([job.to_dict() for job in shard],
+                                     attempt, self.fault_plan,
+                                     self.checkpoint, self._should_stop,
+                                     self.backend)
+                yield outcomes
                 # a stopped outcome ends the round: later shards stay
                 # pending (resumable after a STOP, moot after a deadline)
                 if outcomes and outcomes[-1]["status"] in STOP_REASONS:
-                    break
-            return outcomes
+                    return
+            return
 
-        outcomes = []
         pool = self._ensure_pool()
         # _should_stop is a campaign_stop partial (or None): it pickles
         futures = [(pool.submit(run_shard,
@@ -228,20 +232,20 @@ class CampaignRunner:
         abandon = False
         for future, shard in futures:
             try:
-                outcomes.extend(future.result(self._shard_timeout(shard)))
+                outcomes = future.result(self._shard_timeout(shard))
             except FutureTimeoutError:
-                outcomes.extend(self._synthetic_failures(
+                outcomes = self._synthetic_failures(
                     shard, attempt,
                     f"timeout: shard exceeded "
-                    f"{self._shard_timeout(shard):.1f} s"))
+                    f"{self._shard_timeout(shard):.1f} s")
                 abandon = True         # a worker is stuck in there
             except BrokenProcessPool:
-                outcomes.extend(self._synthetic_failures(
-                    shard, attempt, "worker process died"))
+                outcomes = self._synthetic_failures(
+                    shard, attempt, "worker process died")
                 abandon = True
+            yield outcomes
         if abandon:
             self._retire_pool(broken=True)
-        return outcomes
 
     # -- record plumbing -----------------------------------------------------
     def _finish(self, job: CampaignJob, record: Dict,
@@ -349,8 +353,9 @@ class CampaignRunner:
             pending = []
         if pending:
             n_shards = max(1, min(len(pending), max(1, self.workers) * 2))
-            outcomes = self._run_round(assign_shards(pending, n_shards), 0)
-            failures = self._absorb(outcomes, records, metrics)
+            for outcomes in self._run_round(
+                    assign_shards(pending, n_shards), 0):
+                failures.update(self._absorb(outcomes, records, metrics))
 
         # retry rounds: each failure should_retry allows runs again at
         # once, alone in a single-job shard; the rest stay failed
@@ -362,11 +367,10 @@ class CampaignRunner:
             if tel is not None:
                 tel.emit("round.retry", attempt=attempt, jobs=retry)
             retried = {job_id: failures.pop(job_id) for job_id in retry}
-            outcomes = []
             for job_id in retry:
-                outcomes.extend(self._run_round([[by_id[job_id]]], attempt))
-            failures.update(self._absorb(outcomes, records, metrics,
-                                         retried))
+                for outcomes in self._run_round([[by_id[job_id]]], attempt):
+                    failures.update(self._absorb(outcomes, records, metrics,
+                                                 retried))
 
         # whatever still fails is quarantined — the campaign survives it.
         # Under a STOP nothing is quarantined: unfinished jobs (and even
@@ -438,8 +442,9 @@ class CampaignRunner:
                 metrics: CampaignMetrics,
                 prior_failures: Optional[Dict[str, Dict]] = None
                 ) -> Dict[str, Dict]:
-        """Fold a round's outcomes into records; return its failures.  A
-        record's ``wall_s`` adds the job's ``prior_failures`` walls."""
+        """Fold a shard's outcomes into records — cache entries stored,
+        records appended — and return its failures.  A record's
+        ``wall_s`` adds the job's ``prior_failures`` walls."""
         failures: Dict[str, Dict] = {}
         tel = _obs._active
         for outcome in outcomes:

@@ -157,19 +157,25 @@ class ResultStore(SealedLog):
         payload for completed jobs, plus the ids of quarantined jobs.
         Timing and attempt metadata stay in the JSONL log — they vary
         between runs and would break the byte-identity guarantee.
+
+        The file is ``canonical_json({"jobs": [...], "quarantined":
+        [...]})``, streamed to :func:`atomic_write` one job entry at a
+        time, never joined: an entry splices a payload's carried text
+        (:class:`~repro.durable.Canonical`) and renders only a plain one.
         """
-        body = {
-            "jobs": [
-                {
+        ordered = sorted(records, key=lambda r: r["job_id"])
+        ids = sorted(record["job_id"] for record in quarantined)
+
+        def pieces():
+            yield '{"jobs":['
+            for index, record in enumerate(ordered):
+                yield ("," if index else "") + canonical_json({
                     "job_id": record["job_id"],
                     "digest": record["digest"],
                     "job": record["job"],
                     "payload": record["payload"],
-                }
-                for record in sorted(records, key=lambda r: r["job_id"])
-            ],
-            "quarantined": sorted(
-                record["job_id"] for record in quarantined),
-        }
-        atomic_write(self.aggregate_path, canonical_json(body))
+                })
+            yield '],"quarantined":' + canonical_json(ids) + "}"
+
+        atomic_write(self.aggregate_path, pieces())
         return self.aggregate_path

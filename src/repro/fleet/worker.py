@@ -47,6 +47,7 @@ from ..core.profiling.export import result_to_dict
 from ..core.profiling.export import result_to_json  # noqa: F401
 from ..core.profiling.session import ProfilingSession
 from ..core.profiling import spec as pspec
+from ..durable import Canonical
 from ..ed.emem import put_fifo, take_fifo
 from ..errors import CampaignStopped, ConfigurationError, FaultInjected
 from ..faults import (FaultInjector, FaultPlan, SimulationWatchdog,
@@ -452,6 +453,10 @@ def run_shard(jobs: List[Dict], attempt: int = 0,
 
     ``backend`` is passed to :func:`execute_job` for every job; an
     ``"ok"`` payload is byte-identical either way.
+
+    An ``"ok"`` payload comes back as a :class:`~repro.durable.Canonical`:
+    its canonical JSON text is rendered here, once, and every later
+    write of the payload splices that text.
     """
     outcomes: List[Dict] = []
     for job in jobs:
@@ -463,9 +468,9 @@ def run_shard(jobs: List[Dict], attempt: int = 0,
         stats: Dict = {}
         fields: Dict = {}
         try:
-            fields["payload"] = execute_job(job, attempt, fault_plan,
-                                            checkpoint, stats, should_stop,
-                                            backend)
+            fields["payload"] = Canonical(execute_job(
+                job, attempt, fault_plan, checkpoint, stats, should_stop,
+                backend))
             status = "ok"
         except CampaignStopped as stop:
             status = reason = stop.reason

@@ -11,6 +11,7 @@ an undisturbed campaign writes.
 
 import json
 import os
+import re
 import warnings
 
 import pytest
@@ -391,7 +392,8 @@ def test_store_recovers_records_after_a_corrupt_middle_line(tmp_path):
     with open(store.path) as handle:
         lines = handle.read().splitlines()
     # flip a payload byte inside line 1: CRC mismatch, not a JSON error
-    lines[1] = lines[1].replace('"value": 1', '"value": 7')
+    lines[1], flipped = re.subn(r'("value":\s*)1', r"\g<1>7", lines[1])
+    assert flipped == 1
     with open(store.path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
     with warnings.catch_warnings(record=True) as caught:

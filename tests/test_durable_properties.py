@@ -18,7 +18,10 @@ reader:
   accepted at all — a damaged ``_crc32`` key included;
 * a torn final line of a line log (the store, the journal, a message
   log) is skipped and the prefix before it survives, and an append after
-  it loses neither the prefix nor the appended record.
+  it loses neither the prefix nor the appended record;
+* a line in the one-pass form (``{"_crc32":N,`` then the canonical body)
+  passes the spaced-form release's parse-and-re-render check, and a
+  line in that spaced form still reads back as the same value.
 
 "Rejected" means the reader's own policy: the store quarantines, the
 journal skips, a lease reads as absent, the cache misses, and the
@@ -27,14 +30,20 @@ checkpoint, cluster-file and summary readers raise.
 The three line logs share one scanner, ``SealedLog.read`` in
 :mod:`repro.durable`; its cases (damage mid-log, invalid UTF-8, blank
 lines, a missing file, offsets on and off a record boundary, an
-unterminated tail) are tested once, at the end of this file.
+unterminated tail) are tested once, near the end of this file.  Last
+come the :class:`~repro.durable.Canonical` payloads, whose carried text
+the cache entry, the seal and the aggregate splice and a cache hit
+slices back out.
 """
 
+import copy
 import json
 import os
+import pickle
 import string
 import tempfile
 import warnings
+import zlib
 from typing import Callable, NamedTuple
 
 import pytest
@@ -45,7 +54,8 @@ from repro.checkpoint import (CheckpointError, MessageLog, load_checkpoint,
                               save_checkpoint)
 from repro.cluster.coordinator import _read_sealed
 from repro.cluster.lease import Lease, LeaseManager
-from repro.durable import CRC_FIELD, SealedLog, atomic_write, seal_record
+from repro.durable import (CRC_FIELD, Canonical, SealedLog, atomic_write,
+                           seal_record)
 from repro.errors import ClusterError, TraceStoreError
 from repro.fleet.cache import ResultCache
 from repro.fleet.spec import CampaignJob
@@ -378,6 +388,38 @@ def test_append_after_a_torn_final_line_loses_nothing(name, data):
             assert LOGS[name](directory) == prefix + whole + [new_value]
 
 
+def _spaced_release_unseal(raw):
+    """The check every release ran before the seal went in front of the
+    body, kept here as the reference: parse, pop the seal, render the
+    rest canonically, compare."""
+    document = json.loads(raw)
+    rest = {key: value for key, value in document.items()
+            if key != CRC_FIELD}
+    assert zlib.crc32(json.dumps(rest, sort_keys=True, separators=(
+        ",", ":")).encode("utf-8")) == document[CRC_FIELD]
+    return document
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_both_seal_forms_read_in_both_releases(name, data):
+    """The writer's one-pass line passes the spaced-form release's check;
+    the same document written in that spaced form (what that release's
+    ``json.dumps(sort_keys=True)`` wrote) reads back as the same value."""
+    fmt = FORMATS[name]
+    value = data.draw(fmt.values)
+    with tempfile.TemporaryDirectory() as directory:
+        path = fmt.write(directory, value)
+        raw = _bytes(path)
+        assert raw.startswith(b'{"' + CRC_FIELD.encode() + b'":')
+        document = _spaced_release_unseal(raw)
+        newline = raw[len(raw.rstrip(b"\n")):]
+        _overwrite(path, json.dumps(document, sort_keys=True).encode()
+                   + newline)
+        assert _read(fmt, directory) == value
+
+
 # -- the shared line-log reader ----------------------------------------------
 def _sealed_log(directory):
     return SealedLog(os.path.join(directory, "x.jsonl"))
@@ -391,7 +433,9 @@ def _append_raw(log, data):
 def test_log_reader_returns_damage_mid_log_and_keeps_what_follows(tmp_path):
     log = _sealed_log(str(tmp_path))
     log.append({"n": 1})
-    damaged_line = seal_record({"n": 2}).replace('"n": 2', '"n": 3').encode()
+    line = seal_record({"n": 2})
+    assert line.endswith("2}")      # the value's digit, in any spacing
+    damaged_line = (line[:-2] + "3}").encode()
     _append_raw(log, damaged_line + b"\n")
     log.append({"n": 4})
     records, damaged, next_offset, partial = log.read()
@@ -464,3 +508,81 @@ def test_log_reader_takes_an_unterminated_tail_once_it_lands(tmp_path):
     assert (records, damaged, partial) == ([{"n": 2}], [], b"")
     assert next_offset == os.path.getsize(log.path)
     assert log.read(next_offset) == ([], [], next_offset, b"")
+
+
+# -- payload text carried by a Canonical dict --------------------------------
+tricky_text = st.sampled_from(
+    ["payload", ',"payload":', '"payload":{', "}", "\u00e9\u20ac\U0001d11e",
+     "\\\""]) | st.text(max_size=6)
+tricky_values = st.recursive(
+    scalars | tricky_text,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(tricky_text, children, max_size=3)),
+    max_leaves=8)
+payloads = st.dictionaries(tricky_text, tricky_values, max_size=4)
+
+
+def _job_entry(job_id, payload):
+    return {"job_id": job_id, "digest": JOB.digest, "job": JOB.to_dict(),
+            "payload": payload}
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=payloads)
+def test_carried_text_is_spliced_and_sliced_byte_identically(payload):
+    """Nested ``"payload"`` keys, ``,"payload":`` inside strings,
+    non-ASCII text and the empty payload: the cache entry, the seal and
+    the aggregate splice the carried text to the bytes a full render
+    gives, and a cache hit slices it back out whole."""
+    reference = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    carried = Canonical(payload)
+    assert carried == payload and carried.text == reference
+    with pytest.raises(TypeError):
+        carried["payload"] = {}
+    assert carried == payload and carried.text == reference
+    assert seal_record({"job_id": "c0", "payload": carried}) \
+        == seal_record({"job_id": "c0", "payload": payload})
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ResultCache(directory)
+        path = cache.store(JOB, payload)
+        plain = _bytes(path)
+        cache.store(JOB, carried)
+        assert _bytes(path) == plain
+        served = cache.lookup(JOB)
+        assert type(served) is Canonical
+        assert served == payload and served.text == reference
+        store = ResultStore(directory)
+        store.write_aggregate(
+            [_job_entry("b", served), _job_entry("a", payload)],
+            [{"job_id": "q"}])
+        assert _bytes(store.aggregate_path) == json.dumps(
+            {"jobs": [_job_entry("a", payload), _job_entry("b", payload)],
+             "quarantined": ["q"]},
+            sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_a_spaced_cache_entry_is_served_without_text(tmp_path):
+    """An entry in the spaced form reads through the spaced-form check;
+    its payload is served as a plain dict, rendered where it is used."""
+    cache = ResultCache(str(tmp_path))
+    path = cache.store(JOB, Canonical({"name": "c0", "ipc": [0.5]}))
+    _overwrite(path, json.dumps(json.loads(_bytes(path)),
+                                sort_keys=True).encode())
+    served = cache.lookup(JOB)
+    assert type(served) is dict and served == {"name": "c0", "ipc": [0.5]}
+
+
+def test_a_canonical_dict_refuses_writes_and_keeps_its_text():
+    carried = Canonical({"b": [1, 2], "a": "\u00e9"})
+    text = carried.text
+    writes = [lambda d: d.__setitem__("c", 1), lambda d: d.__delitem__("a"),
+              lambda d: d.update(c=1), lambda d: d.pop("a"),
+              lambda d: d.popitem(), lambda d: d.setdefault("c", 1),
+              lambda d: d.clear(), lambda d: d.__ior__({"c": 1})]
+    for write in writes:
+        with pytest.raises(TypeError):
+            write(carried)
+    assert carried == {"b": [1, 2], "a": "\u00e9"} and carried.text == text
+    for twin in (pickle.loads(pickle.dumps(carried)), copy.deepcopy(carried)):
+        assert type(twin) is Canonical
+        assert twin == carried and twin.text == text

@@ -7,7 +7,10 @@ The acceptance properties of the subsystem:
 * a warm-cache re-run executes zero jobs;
 * a killed campaign resumes from its JSONL store prefix;
 * a poison job is quarantined after its retry budget without taking any
-  healthy job with it — even when it kills the worker process outright.
+  healthy job with it — even when it kills the worker process outright;
+* each shard's records reach the store as soon as the shard returns;
+* each payload is rendered once, where it is made, and every aggregate
+  equals an independent render of the report's records.
 """
 
 import json
@@ -20,7 +23,8 @@ import pytest
 from repro.fleet import (CampaignJob, CampaignRunner, build_matrix,
                          campaign_matrix, matrix_table, rank_portfolio,
                          run_campaign, volume_weights, worker)
-from repro.fleet.store import clear_stop, request_stop
+from repro.fleet.spec import assign_shards
+from repro.fleet.store import ResultStore, clear_stop, request_stop
 from repro.core.optimization import hardware_options
 from repro.soc.config import tc1797_config
 from repro.workloads import CustomerGenerator
@@ -197,6 +201,131 @@ def test_lagging_tailer_sees_every_record_once(tmp_path, monkeypatch,
     poll(ResultStore(directory))
     assert len(report.ok_records) == 4
     assert sorted(seen) == sorted(job.job_id for job in jobs_for(spec))
+
+
+# -- records as shards return, payloads rendered once ------------------------
+def test_each_shard_is_recorded_before_the_next_shard_runs(tmp_path,
+                                                          monkeypatch):
+    """In process, a shard's records are in the store before the next
+    shard starts, not only once the round is over."""
+    from repro.fleet import orchestrator
+    jobs = make_jobs()
+    first, _ = assign_shards(jobs, 2)
+    directory = str(tmp_path / "run")
+    seen = []
+    run_shard = orchestrator.run_shard
+
+    def reading_the_store(shard, *args):
+        seen.append(sorted(r["job_id"] for r in ResultStore(directory).load()))
+        return run_shard(shard, *args)
+
+    monkeypatch.setattr(orchestrator, "run_shard", reading_the_store)
+    run_campaign(jobs, workers=0, campaign_dir=directory)
+    assert seen == [[], sorted(job.job_id for job in first)]
+
+
+#: the campaign directory and the first shard's job ids, for the pool side
+FIRST_SHARD_ENV = "REPRO_TEST_FIRST_SHARD"
+
+
+def _run_shard_once_the_first_is_stored(jobs, *args):
+    """Pool-side ``run_shard``: a shard other than the first returns only
+    once the store holds the first shard's records."""
+    outcomes = worker.run_shard(jobs, *args)
+    directory, first = json.loads(os.environ[FIRST_SHARD_ENV])
+    if any(CampaignJob.from_dict(job).job_id in first for job in jobs):
+        return outcomes
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        stored = {r["job_id"] for r in ResultStore(directory).tail(0)[0]}
+        if stored >= set(first):
+            return outcomes
+        time.sleep(0.02)
+    raise AssertionError("the first shard's records were not in the store "
+                         "before the last shard returned")
+
+
+def test_pooled_shard_is_recorded_before_the_last_shard_returns(
+        tmp_path, monkeypatch):
+    from repro.fleet import orchestrator
+    jobs = make_jobs()
+    first, _ = assign_shards(jobs, 2)
+    directory = str(tmp_path / "run")
+    monkeypatch.setenv(FIRST_SHARD_ENV, json.dumps(
+        [directory, [job.job_id for job in first]]))
+    monkeypatch.setattr(orchestrator, "run_shard",
+                        _run_shard_once_the_first_is_stored)
+    report = run_campaign(jobs, workers=1, campaign_dir=directory)
+    assert len(report.ok_records) == len(jobs)
+
+
+def _payloads_in(value):
+    """Job payloads (dicts with ``profile`` and ``sim_cycles``) a JSON
+    render of ``value`` walks into."""
+    if isinstance(value, dict):
+        return int("profile" in value and "sim_cycles" in value) + sum(
+            _payloads_in(item) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_payloads_in(item) for item in value)
+    return 0
+
+
+def test_each_payload_is_rendered_once_and_a_warm_rerun_renders_none(
+        tmp_path, monkeypatch):
+    renders = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def counted(self, o, _one_shot=False):
+        renders.append(_payloads_in(o))
+        return iterencode(self, o, _one_shot)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counted)
+    jobs = make_jobs()
+    cache_dir = str(tmp_path / "cache")
+    cold = run_campaign(jobs, workers=0, cache_dir=cache_dir,
+                        campaign_dir=str(tmp_path / "cold"))
+    assert cold.metrics.executed == len(jobs)
+    assert sum(renders) == len(jobs)
+    del renders[:]
+    warm = run_campaign(jobs, workers=0, cache_dir=cache_dir,
+                        campaign_dir=str(tmp_path / "warm"))
+    assert warm.metrics.cache_hits == len(jobs)
+    assert sum(renders) == 0
+
+
+def _independent_aggregate(report):
+    return json.dumps({
+        "jobs": [{"job_id": r["job_id"], "digest": r["digest"],
+                  "job": r["job"], "payload": r["payload"]}
+                 for r in sorted(report.ok_records,
+                                 key=lambda r: r["job_id"])],
+        "quarantined": sorted(r["job_id"] for r in report.quarantined),
+    }, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_aggregate_equals_an_independent_render(baseline, tmp_path):
+    """Cold (pooled), warm from the cache, resumed and cluster-finalised:
+    each ``aggregate.json`` is the plain render of the report's records,
+    whether its payloads were spliced or rendered at the aggregate."""
+    from repro.cluster import run_clustered
+    root, cold = baseline
+    warm = run_campaign(make_jobs(), workers=0,
+                        cache_dir=str(root / "cache"),
+                        campaign_dir=str(tmp_path / "warm"))
+    assert warm.metrics.cache_hits == 3
+    resumed_dir = tmp_path / "resumed"
+    resumed_dir.mkdir()
+    with open(cold.store_path) as handle:
+        (resumed_dir / "campaign.jsonl").write_text(handle.readline())
+    resumed = run_campaign(make_jobs(), workers=0,
+                           campaign_dir=str(resumed_dir), resume=True)
+    assert resumed.metrics.resumed == 1
+    clustered = run_clustered(make_jobs(), str(tmp_path / "cluster"),
+                              nodes=0)
+    for report in (cold, warm, resumed, clustered):
+        assert len(report.ok_records) == 3
+        with open(report.aggregate_path, "rb") as handle:
+            assert handle.read() == _independent_aggregate(report)
 
 
 def test_without_resume_everything_reruns(baseline, tmp_path):
