@@ -1,9 +1,9 @@
 """Fleet campaign quickstart: profile a customer population in parallel.
 
 Runs the architect's population-profiling step (paper Section 4) as a
-fleet campaign — sharded over worker processes, content-addressed-cached,
-fault-tolerant — then feeds the aggregated matrix into the
-volume-weighted portfolio ranking.
+fleet campaign — one task per job over worker processes,
+content-addressed-cached, fault-tolerant — then feeds the aggregated
+matrix into the volume-weighted portfolio ranking.
 
 Run twice to see the cache do its job: the second campaign executes zero
 jobs and the ranking comes straight off the stored profiles.

@@ -3,7 +3,7 @@
 The paper's architect optimizes for a *population* of customers
 (Section 4); this package runs that population as a campaign: a matrix of
 (customer x device config x parameter set x cycle budget) jobs fanned out
-over a fault-tolerant process pool, with deterministic sharding, a
+over a fault-tolerant process pool, one task per job, with a
 content-addressed result cache, immediate retries plus poison-job
 quarantine under the retry policy the cluster shares, a JSONL result
 store with resume, and campaign metrics.

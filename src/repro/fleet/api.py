@@ -61,7 +61,7 @@ class CampaignSpec:
     #: execution backend: ``"scalar"`` (the live measurement plane) or
     #: ``"batch"`` (each job a one-lane :class:`~repro.batch.LaneSimulator`
     #: that rebuilds its profile from the emission stream; the same pool
-    #: shards, and the live plane for a job the lane refuses).  Like
+    #: tasks, and the live plane for a job the lane refuses).  Like
     #: ``deadline_s`` it is not job content: payloads are byte-identical
     #: either way (the batch backend's contract), so it never feeds cache
     #: digests or payload bytes.

@@ -3,19 +3,19 @@
 Execution model
 ---------------
 
-* Jobs are deterministically sharded (:func:`repro.fleet.spec.assign_shards`)
-  and each shard is one ``run_shard`` task on a ``ProcessPoolExecutor``.
-  Workers isolate failures per job, so a raising job returns a structured
-  error outcome instead of killing its shard.
-* Failed jobs are retried at once, one single-job shard at a time (so a
-  poison job can only hurt itself), for as long as
+* Each job is one ``ProcessPoolExecutor`` task, ``run_shard([job])``:
+  the job is the one unit the pool and the cluster node schedule.
+  ``run_shard`` isolates failures per job, so a raising job returns a
+  structured error outcome instead of an exception.
+* Failed jobs are retried at once, one job at a time (so a poison job
+  can only hurt itself), for as long as
   :func:`~repro.fleet.worker.should_retry` allows — the policy the
   cluster node shares.  A job it refuses is **quarantined**: recorded
   with its error and excluded from the aggregate, while every other job
   completes normally.
-* A worker process dying outright (or a shard exceeding its timeout)
-  breaks the pool; the orchestrator records synthetic failures for the
-  affected shard, abandons the pool, and continues on a fresh one.
+* A worker process dying outright (or a job exceeding ``timeout_s``)
+  breaks the pool; the orchestrator fails the jobs whose results had not
+  come back, abandons the pool, and continues on a fresh one.
 * Before anything is submitted, each job is looked up in the
   content-addressed :class:`~repro.fleet.cache.ResultCache` and, under
   ``resume=True``, in the campaign's JSONL store — hits never reach the
@@ -40,6 +40,7 @@ content-derived job id with timing metadata excluded.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import time
@@ -56,12 +57,21 @@ from ..obs import bridge as _obs_bridge
 from ..obs import runtime as _obs
 from .cache import ResultCache
 from .metrics import CampaignMetrics
-from .spec import CampaignJob, assign_shards
+from .spec import CampaignJob
 from .store import ResultStore, job_record
 # the orchestrator calls its own run_shard binding: bench/phases.py wraps
 # worker.run_shard to count other callers
 from .worker import (STOP_REASONS, StopCheck, campaign_stop, run_shard,
                      shard_outcome, should_retry)
+
+
+def _pool_task(job: Dict, *args) -> List[Dict]:
+    """``run_shard([job], *args)`` in a pool worker, then a full
+    collection: a finished job's device is a web of reference cycles,
+    which the collector's own schedule lets pile up job after job."""
+    outcomes = run_shard([job], *args)
+    gc.collect()
+    return outcomes
 
 
 @dataclass
@@ -173,7 +183,10 @@ class CampaignRunner:
     # -- pool lifecycle ------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            # gc.freeze at start: _pool_task's collections skip the
+            # heap a worker inherits
+            self._pool = ProcessPoolExecutor(max_workers=self.workers,
+                                             initializer=gc.freeze)
         return self._pool
 
     def _retire_pool(self, broken: bool = False) -> None:
@@ -185,15 +198,10 @@ class CampaignRunner:
 
     # -- execution rounds ----------------------------------------------------
     @staticmethod
-    def _synthetic_failures(shard: Sequence[CampaignJob], attempt: int,
-                            error: str) -> List[Dict]:
-        return [shard_outcome(job.to_dict(), "error", attempt, error=error,
-                              trace=error, pid=None) for job in shard]
-
-    def _shard_timeout(self, shard: Sequence[CampaignJob]) -> Optional[float]:
-        if self.timeout_s is None:
-            return None
-        return self.timeout_s * len(shard)
+    def _synthetic_failure(job: CampaignJob, attempt: int,
+                           error: str) -> Dict:
+        return shard_outcome(job.to_dict(), "error", attempt, error=error,
+                             trace=error, pid=None)
 
     def _stopped(self) -> bool:
         """Consult ``should_stop`` between rounds; True once stopped."""
@@ -201,49 +209,46 @@ class CampaignRunner:
             self._stop_reason = self._should_stop()
         return self._stop_reason is not None
 
-    def _run_round(self, shards: List[List[CampaignJob]],
-                   attempt: int) -> Iterator[List[Dict]]:
-        """Execute one round of shards, surviving pool breakage.
+    def _run_round(self, jobs: Sequence[CampaignJob],
+                   attempt: int) -> Iterator[Dict]:
+        """Execute one round, one task per job, surviving pool breakage.
 
-        Yields each shard's outcomes as soon as they are in, in shard
-        order, so the caller records a shard's results before the next
-        shard is waited on.
+        Yields each job's outcome as soon as it is in, in job order, so
+        the caller records it before the next job is waited on.
         """
         if self.workers == 0:
-            for shard in shards:
-                outcomes = run_shard([job.to_dict() for job in shard],
-                                     attempt, self.fault_plan,
-                                     self.checkpoint, self._should_stop,
-                                     self.backend)
-                yield outcomes
-                # a stopped outcome ends the round: later shards stay
+            for job in jobs:
+                (outcome,) = run_shard([job.to_dict()], attempt,
+                                       self.fault_plan, self.checkpoint,
+                                       self._should_stop, self.backend)
+                yield outcome
+                # a stopped outcome ends the round: later jobs stay
                 # pending (resumable after a STOP, moot after a deadline)
-                if outcomes and outcomes[-1]["status"] in STOP_REASONS:
+                if outcome["status"] in STOP_REASONS:
                     return
             return
 
         pool = self._ensure_pool()
         # _should_stop is a campaign_stop partial (or None): it pickles
-        futures = [(pool.submit(run_shard,
-                                [job.to_dict() for job in shard], attempt,
+        futures = [(pool.submit(_pool_task, job.to_dict(), attempt,
                                 self.fault_plan, self.checkpoint,
-                                self._should_stop, self.backend),
-                    shard) for shard in shards]
+                                self._should_stop, self.backend), job)
+                   for job in jobs]
         abandon = False
-        for future, shard in futures:
+        for future, job in futures:
             try:
-                outcomes = future.result(self._shard_timeout(shard))
+                (outcome,) = future.result(self.timeout_s)
             except FutureTimeoutError:
-                outcomes = self._synthetic_failures(
-                    shard, attempt,
-                    f"timeout: shard exceeded "
-                    f"{self._shard_timeout(shard):.1f} s")
+                # the error text names the task, a one-job shard
+                outcome = self._synthetic_failure(
+                    job, attempt,
+                    f"timeout: shard exceeded {self.timeout_s:.1f} s")
                 abandon = True         # a worker is stuck in there
             except BrokenProcessPool:
-                outcomes = self._synthetic_failures(
-                    shard, attempt, "worker process died")
+                outcome = self._synthetic_failure(
+                    job, attempt, "worker process died")
                 abandon = True
-            yield outcomes
+            yield outcome
         if abandon:
             self._retire_pool(broken=True)
 
@@ -345,20 +350,18 @@ class CampaignRunner:
 
         pending = [job for job in self.jobs if job.job_id not in records]
 
-        # round 0: deterministic shards over the pool
+        # round 0: one task per job, in job order
         failures: Dict[str, Dict] = {}
         if pending and self._stopped():
             # stale (or stopped) before a single job ran — never
             # silently run it
             pending = []
         if pending:
-            n_shards = max(1, min(len(pending), max(1, self.workers) * 2))
-            for outcomes in self._run_round(
-                    assign_shards(pending, n_shards), 0):
-                failures.update(self._absorb(outcomes, records, metrics))
+            for outcome in self._run_round(pending, 0):
+                self._absorb(outcome, records, metrics, failures)
 
         # retry rounds: each failure should_retry allows runs again at
-        # once, alone in a single-job shard; the rest stay failed
+        # once, alone and one at a time; the rest stay failed
         for attempt in itertools.count(1):
             retry = sorted(job_id for job_id, outcome in failures.items()
                            if should_retry(outcome, self.max_retries))
@@ -368,9 +371,9 @@ class CampaignRunner:
                 tel.emit("round.retry", attempt=attempt, jobs=retry)
             retried = {job_id: failures.pop(job_id) for job_id in retry}
             for job_id in retry:
-                for outcomes in self._run_round([[by_id[job_id]]], attempt):
-                    failures.update(self._absorb(outcomes, records, metrics,
-                                                 retried))
+                for outcome in self._run_round([by_id[job_id]], attempt):
+                    self._absorb(outcome, records, metrics, failures,
+                                 retried[job_id]["wall_s"])
 
         # whatever still fails is quarantined — the campaign survives it.
         # Under a STOP nothing is quarantined: unfinished jobs (and even
@@ -438,46 +441,40 @@ class CampaignRunner:
             args={"job": job.name, "status": outcome["status"],
                   "attempt": outcome["attempt"]})
 
-    def _absorb(self, outcomes: List[Dict], records: Dict[str, Dict],
-                metrics: CampaignMetrics,
-                prior_failures: Optional[Dict[str, Dict]] = None
-                ) -> Dict[str, Dict]:
-        """Fold a shard's outcomes into records — cache entries stored,
-        records appended — and return its failures.  A record's
-        ``wall_s`` adds the job's ``prior_failures`` walls."""
-        failures: Dict[str, Dict] = {}
+    def _absorb(self, outcome: Dict, records: Dict[str, Dict],
+                metrics: CampaignMetrics, failures: Dict[str, Dict],
+                prior_wall_s: float = 0.0) -> None:
+        """Fold one job's outcome into ``records`` (cache entry stored,
+        record appended) or ``failures``; its ``wall_s`` adds
+        ``prior_wall_s``, the walls of the job's earlier attempts."""
         tel = _obs._active
-        for outcome in outcomes:
-            job = CampaignJob.from_dict(outcome["job"])
-            if "checkpoint" in outcome:
-                metrics.note_checkpoint(outcome["checkpoint"])
-            if outcome["status"] in STOP_REASONS:
-                # not a job failure.  "stopped": the partial progress is
-                # on disk as a checkpoint and the campaign is offered
-                # again (resume=True) once the STOP file is gone;
-                # "deadline": terminal for the submission, so the
-                # campaign stops here instead of running stale work
-                self._stop_reason = outcome["status"]
-                if tel is not None:
-                    event = "job." + outcome["status"]   # job.stopped, ...
-                    tel.instant(event, cat="fleet", job_id=job.job_id)
-                    tel.emit(event, job_id=job.job_id,
-                             attempt=outcome["attempt"])
-                continue
-            if tel is not None and self.workers > 0:
-                # pool workers don't inherit the telemetry slot, so their
-                # job spans are retro-emitted here from the reported
-                # in-worker wall clock (workers=0 records live spans)
-                self._retro_span(tel, job, outcome)
-            wall_s = outcome["wall_s"]
-            if prior_failures and job.job_id in prior_failures:
-                wall_s += prior_failures[job.job_id]["wall_s"]
-            if outcome["status"] == "ok":
-                if self.cache is not None:
-                    self.cache.store(job, outcome["payload"])
-                self._finish(job, job_record(
-                    job, "ok", "executed", outcome["attempt"] + 1, wall_s,
-                    payload=outcome["payload"]), records, metrics)
-            else:
-                failures[job.job_id] = dict(outcome, wall_s=wall_s)
-        return failures
+        job = CampaignJob.from_dict(outcome["job"])
+        if "checkpoint" in outcome:
+            metrics.note_checkpoint(outcome["checkpoint"])
+        if outcome["status"] in STOP_REASONS:
+            # not a job failure.  "stopped": the partial progress is on
+            # disk as a checkpoint and the campaign is offered again
+            # (resume=True) once the STOP file is gone; "deadline":
+            # terminal for the submission, so the campaign stops here
+            # instead of running stale work
+            self._stop_reason = outcome["status"]
+            if tel is not None:
+                event = "job." + outcome["status"]   # job.stopped, ...
+                tel.instant(event, cat="fleet", job_id=job.job_id)
+                tel.emit(event, job_id=job.job_id,
+                         attempt=outcome["attempt"])
+            return
+        if tel is not None and self.workers > 0:
+            # pool workers don't inherit the telemetry slot, so their job
+            # spans are retro-emitted here from the reported in-worker
+            # wall clock (workers=0 records live spans)
+            self._retro_span(tel, job, outcome)
+        wall_s = outcome["wall_s"] + prior_wall_s
+        if outcome["status"] == "ok":
+            if self.cache is not None:
+                self.cache.store(job, outcome["payload"])
+            self._finish(job, job_record(
+                job, "ok", "executed", outcome["attempt"] + 1, wall_s,
+                payload=outcome["payload"]), records, metrics)
+        else:
+            failures[job.job_id] = dict(outcome, wall_s=wall_s)

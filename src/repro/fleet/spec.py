@@ -11,9 +11,9 @@ cache, and replayable for campaign resume.
 Identity is content-addressed: :func:`job_digest` hashes the canonical
 JSON of the spec together with the package version, so any change to a
 customer's parameters, the device config choice, the cycle budget, or the
-simulator version yields a new cache key.  :func:`assign_shards` maps the
-job list onto worker shards by digest — the mapping depends only on the
-job set and shard count, never on submission or completion order.
+simulator version yields a new cache key.  :func:`assign_shards` cuts the
+cluster's lease batches by digest — the mapping depends only on the job
+set and shard count, never on submission or completion order.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ def assign_shards(jobs: Sequence[CampaignJob],
     """Deterministically partition jobs into at most ``n_shards`` shards.
 
     A job's shard is ``int(digest, 16) % n_shards`` — a pure function of
-    job content and shard count, independent of list order or timing, so a
-    re-run of the same campaign shards identically.  Jobs within a shard
-    are ordered by ``job_id``; empty shards are dropped.
+    job content and shard count, independent of list order or timing.
+    Jobs within a shard are ordered by ``job_id``; empty shards are
+    dropped.  The cluster's ``batch_plan`` cuts its lease batches with it.
     """
     if n_shards < 1:
         raise ConfigurationError("n_shards must be >= 1")

@@ -94,8 +94,8 @@ def shard_outcome(job: Dict, status: str, attempt: int, wall_s: float = 0.0,
 
 def should_retry(outcome: Dict, max_retries: int) -> bool:
     """The retry policy of the pool and the cluster node: a failed attempt
-    runs again, at once, while its error is retryable (a timed-out shard
-    or a dead worker is) and its attempt is below ``max_retries``."""
+    runs again, at once, while its error is retryable (a timed-out job or
+    a dead worker is) and its attempt is below ``max_retries``."""
     return (outcome["status"] == "error"
             and outcome.get("retryable", True)
             and outcome["attempt"] < max_retries)

@@ -8,22 +8,26 @@ The acceptance properties of the subsystem:
 * a killed campaign resumes from its JSONL store prefix;
 * a poison job is quarantined after its retry budget without taking any
   healthy job with it — even when it kills the worker process outright;
-* each shard's records reach the store as soon as the shard returns;
+* each job is one ``run_shard`` task, and its record reaches the store
+  as soon as the job returns; a pool worker frees a job's garbage before
+  it takes the next job;
+* a dead worker costs only the jobs whose results had not come back;
 * each payload is rendered once, where it is made, and every aggregate
   equals an independent render of the report's records.
 """
 
+import gc
 import json
 import os
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.fleet import (CampaignJob, CampaignRunner, build_matrix,
                          campaign_matrix, matrix_table, rank_portfolio,
                          run_campaign, volume_weights, worker)
-from repro.fleet.spec import assign_shards
 from repro.fleet.store import ResultStore, clear_stop, request_stop
 from repro.core.optimization import hardware_options
 from repro.soc.config import tc1797_config
@@ -203,59 +207,99 @@ def test_lagging_tailer_sees_every_record_once(tmp_path, monkeypatch,
     assert sorted(seen) == sorted(job.job_id for job in jobs_for(spec))
 
 
-# -- records as shards return, payloads rendered once ------------------------
-def test_each_shard_is_recorded_before_the_next_shard_runs(tmp_path,
-                                                          monkeypatch):
-    """In process, a shard's records are in the store before the next
-    shard starts, not only once the round is over."""
+# -- records as jobs return, payloads rendered once --------------------------
+def test_each_job_is_recorded_before_the_next_job_runs(tmp_path,
+                                                      monkeypatch):
+    """In process, each ``run_shard`` call carries one job, and a job's
+    record is in the store before the next job starts, not only once the
+    round is over."""
     from repro.fleet import orchestrator
     jobs = make_jobs()
-    first, _ = assign_shards(jobs, 2)
+    ids = sorted(job.job_id for job in jobs)
     directory = str(tmp_path / "run")
     seen = []
     run_shard = orchestrator.run_shard
 
     def reading_the_store(shard, *args):
+        assert len(shard) == 1
         seen.append(sorted(r["job_id"] for r in ResultStore(directory).load()))
         return run_shard(shard, *args)
 
     monkeypatch.setattr(orchestrator, "run_shard", reading_the_store)
     run_campaign(jobs, workers=0, campaign_dir=directory)
-    assert seen == [[], sorted(job.job_id for job in first)]
+    assert seen == [ids[:i] for i in range(len(ids))]
 
 
-#: the campaign directory and the first shard's job ids, for the pool side
-FIRST_SHARD_ENV = "REPRO_TEST_FIRST_SHARD"
+#: the campaign directory and the lowest job id, for the pool side
+FIRST_JOB_ENV = "REPRO_TEST_FIRST_JOB"
 
 
 def _run_shard_once_the_first_is_stored(jobs, *args):
-    """Pool-side ``run_shard``: a shard other than the first returns only
-    once the store holds the first shard's records."""
+    """Pool-side ``run_shard``: takes one job, and a job other than the
+    first returns only once the store holds the first job's record."""
+    (job,) = jobs
     outcomes = worker.run_shard(jobs, *args)
-    directory, first = json.loads(os.environ[FIRST_SHARD_ENV])
-    if any(CampaignJob.from_dict(job).job_id in first for job in jobs):
+    directory, first = json.loads(os.environ[FIRST_JOB_ENV])
+    if CampaignJob.from_dict(job).job_id == first:
         return outcomes
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
         stored = {r["job_id"] for r in ResultStore(directory).tail(0)[0]}
-        if stored >= set(first):
+        if first in stored:
             return outcomes
         time.sleep(0.02)
-    raise AssertionError("the first shard's records were not in the store "
-                         "before the last shard returned")
+    raise AssertionError("the first job's record was not in the store "
+                         "before a later job returned")
 
 
-def test_pooled_shard_is_recorded_before_the_last_shard_returns(
+def test_pooled_job_is_recorded_before_the_later_jobs_return(
         tmp_path, monkeypatch):
+    """On one worker, every later job's task is held until the store has
+    the first job's record: it is written as that job returns."""
     from repro.fleet import orchestrator
     jobs = make_jobs()
-    first, _ = assign_shards(jobs, 2)
     directory = str(tmp_path / "run")
-    monkeypatch.setenv(FIRST_SHARD_ENV, json.dumps(
-        [directory, [job.job_id for job in first]]))
+    monkeypatch.setenv(FIRST_JOB_ENV, json.dumps(
+        [directory, min(job.job_id for job in jobs)]))
     monkeypatch.setattr(orchestrator, "run_shard",
                         _run_shard_once_the_first_is_stored)
     report = run_campaign(jobs, workers=1, campaign_dir=directory)
+    assert len(report.ok_records) == len(jobs)
+
+
+class _Node:
+    """A weak-referenceable object to build a reference cycle from."""
+
+
+#: the pool-side stand-in's weak reference to the cycle its last job left
+_LAST_CYCLE = []
+
+
+def _run_shard_leaving_a_cycle(jobs, *args):
+    """Pool-side ``run_shard``: fails if the cycle the previous job left
+    behind is still alive, then leaves one of its own in the oldest
+    generation, where only a full collection frees it."""
+    if _LAST_CYCLE:
+        assert _LAST_CYCLE[-1]() is None, \
+            "the previous job's reference cycle outlived its task"
+    outcomes = worker.run_shard(jobs, *args)
+    node = _Node()
+    node.self = node
+    gc.collect()              # still referenced: promoted, not freed
+    _LAST_CYCLE.append(weakref.ref(node))
+    return outcomes
+
+
+def test_a_pool_worker_frees_each_jobs_cycles_before_the_next_job(
+        tmp_path, monkeypatch):
+    """A job's device is a web of reference cycles: the pool worker runs
+    a full collection after each job, so its heap does not keep a pile
+    of dead jobs until the collector's own schedule reaches them."""
+    from repro.fleet import orchestrator
+    jobs = make_jobs()
+    monkeypatch.setattr(orchestrator, "run_shard",
+                        _run_shard_leaving_a_cycle)
+    report = run_campaign(jobs, workers=1, campaign_dir=str(tmp_path))
     assert len(report.ok_records) == len(jobs)
 
 
@@ -374,6 +418,24 @@ def test_worker_process_death_survived(tmp_path):
     jobs = make_jobs(2) + [poison_job("exit", name="killer")]
     report = run_campaign(jobs, workers=2, max_retries=1,
                           campaign_dir=str(tmp_path))
+    assert [q["job"]["name"] for q in report.quarantined] == ["killer"]
+    assert "worker process died" in report.quarantined[0]["error"]
+    assert len(report.ok_records) == 2
+
+
+def test_worker_death_keeps_the_jobs_that_finished_before_it(tmp_path):
+    """A dead worker fails only the jobs whose results had not come back.
+    On one worker, ``customer00_transmission`` runs and returns before
+    the killer, so it keeps its first result.  The jobs are chosen so
+    that a two-shard hash split, ``assign_shards(jobs, 2)``, would put it
+    in the killer's shard."""
+    jobs = make_jobs(2) + [poison_job("exit", name="killer")]
+    report = run_campaign(jobs, workers=1, max_retries=1,
+                          campaign_dir=str(tmp_path))
+    by_name = {r["job"]["name"]: r for r in report.records}
+    earlier = by_name["customer00_transmission"]
+    assert earlier["status"] == "ok"
+    assert earlier["attempts"] == 1
     assert [q["job"]["name"] for q in report.quarantined] == ["killer"]
     assert "worker process died" in report.quarantined[0]["error"]
     assert len(report.ok_records) == 2

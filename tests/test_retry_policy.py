@@ -108,3 +108,19 @@ def test_hung_shard_times_out_and_is_quarantined():
     assert hung["job"]["name"] == "hang"
     assert hung["attempts"] == 2
     assert "timeout: shard exceeded" in hung["error"]
+
+
+def test_timeout_bounds_each_job_alone():
+    """``timeout_s`` bounds each job alone: a 2.5 s hang under a 1 s
+    timeout is quarantined and every other job is ok.  The names are
+    chosen so that ``assign_shards(jobs, 4)`` would put the hang with
+    h4, h5 and h9 in one shard, whose four jobs would have had 4 s."""
+    jobs = [job(name) for name in ("h0", "h4", "h5", "h9")] + [
+        job("hang", "hang:2.5")]
+    report = run_campaign(jobs, workers=2, timeout_s=1.0, max_retries=0)
+    assert sorted(r["job"]["name"] for r in report.ok_records) == \
+        ["h0", "h4", "h5", "h9"]
+    (hung,) = report.quarantined
+    assert hung["job"]["name"] == "hang"
+    assert hung["attempts"] == 1
+    assert "timeout" in hung["error"]
