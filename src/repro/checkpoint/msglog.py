@@ -25,11 +25,11 @@ crashed attempt appended later or twice.  A segment the chain needs that
 is missing, torn or damaged raises :class:`CheckpointError`, which
 rejects that body like a damaged one.
 
-The log sits next to ``<job_id>.ckpt`` as ``<job_id>.msglog`` (outside
-the ``*.ckpt`` glob).  It is a :class:`repro.durable.SealedLog`, like the
-result store, so appends hold an exclusive lock on its sidecar: a fenced
-cluster node or an abandoned pool worker may still be appending to the
-same log.
+The log sits next to ``<digest>.ckpt`` as ``<digest>.msglog`` (outside
+the ``*.ckpt`` glob), named by the job's content digest.  It is a
+:class:`repro.durable.SealedLog`, like the result store, so appends
+hold an exclusive lock on its sidecar: a fenced cluster node or an
+abandoned pool worker may still be appending to the same log.
 """
 
 from __future__ import annotations

@@ -411,9 +411,7 @@ def cmd_node(args) -> int:
             raise SystemExit(str(exc))
         summary = node.run()
         print(f"node {summary['node']}: {summary['state']} — "
-              f"{summary['jobs_done']} jobs, "
-              f"{summary['batches_done']} batches, "
-              f"{summary['fenced']} fenced")
+              f"{summary['jobs_done']} jobs, {summary['fenced']} fenced")
         if summary["aggregate_path"]:
             print(f"aggregate: {summary['aggregate_path']}")
         return 0 if summary["state"] in ("done", "stopped") else 1
@@ -449,16 +447,16 @@ def cmd_cluster(args) -> int:
         print(f"cluster {args.cluster_dir}: "
               f"{status['records']['ok']}/{status['total_jobs']} jobs ok, "
               f"{status['records']['quarantined']} quarantined")
-        print(f"  batches: {status['done_batches']}/{status['batches']} "
+        print(f"  jobs: {status['done_jobs']}/{status['total_jobs']} "
               f"done; final={status['final']} stop={status['stop_requested']}")
-        for entry in status["batch_states"]:
+        for entry in status["job_states"]:
             lease = entry.get("lease")
             held = ""
             if lease is not None:
                 held = (" [damaged lease]" if lease.get("damaged") else
                         f" [{lease['node']} token {lease['token']} "
                         f"expires {lease['expires_in_s']:+.1f}s]")
-            print(f"    {entry['name']}: "
+            print(f"    {entry['job_id']}: "
                   f"{'done' if entry['done'] else 'pending'}{held}")
         for node in status["nodes"]:
             print(f"  node {node['node']}: {node['state']} "
@@ -487,7 +485,7 @@ def cmd_cluster(args) -> int:
               f"shared result cache disabled")
     try:
         if args.cluster_command == "submit":
-            path = submit(args.cluster_dir, jobs, batches=args.batches,
+            path = submit(args.cluster_dir, jobs,
                           checkpoint_every=args.checkpoint_every,
                           max_retries=args.retries, fault_plan=fault_plan,
                           deadline_s=args.deadline,
@@ -497,7 +495,6 @@ def cmd_cluster(args) -> int:
                   f"--cluster-dir {args.cluster_dir}")
             return 0
         report = run_clustered(jobs, args.cluster_dir, nodes=args.nodes,
-                               batches=args.batches,
                                checkpoint_every=args.checkpoint_every,
                                max_retries=args.retries,
                                fault_plan=fault_plan,
@@ -869,8 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "trace-store segment (see `repro traces`)")
 
     p = sub.add_parser("node",
-                       help="one cluster worker node: claim job batches "
-                            "via leases over a shared directory, execute, "
+                       help="one cluster worker node: claim jobs via "
+                            "leases over a shared directory, execute, "
                             "migrate work off dead peers (docs/cluster.md)")
     p.add_argument("--cluster-dir", required=True,
                    help="shared cluster coordination directory")
@@ -878,9 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stable node name (default node-<pid>)")
     p.add_argument("--ttl", type=float, default=10.0, metavar="SECONDS",
                    help="lease TTL: miss heartbeats for this long and "
-                        "the node's batches migrate (default 10)")
+                        "the node's job migrates (default 10)")
     p.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
-                   help="idle poll interval while batches are all "
+                   help="idle poll interval while jobs are all "
                         "leased out (default 0.2)")
     _add_telemetry_flags(p)
 
@@ -896,9 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="generated customer population size")
         cp.add_argument("--cycles", type=int, default=100_000)
         cp.add_argument("--resolution", type=int, default=256)
-        cp.add_argument("--batches", type=int, default=None,
-                        help="job batches = units of claiming/migration "
-                             "(default min(jobs, 8))")
         cp.add_argument("--checkpoint-every", type=int, default=5_000,
                         metavar="CYCLES",
                         help="mandatory checkpoint cadence: checkpoint "
@@ -932,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="lease TTL for the spawned nodes (default 5)")
 
     cp = csub.add_parser("status",
-                         help="snapshot of batches, leases, node "
+                         help="snapshot of jobs, leases, node "
                               "heartbeats, and results")
     cp.add_argument("--cluster-dir", required=True)
     cp.add_argument("--json", action="store_true")

@@ -1,4 +1,4 @@
-"""Campaign coordination artifacts: manifest, batch plan, done, final.
+"""Campaign coordination artifacts: manifest, job plan, done, final.
 
 Everything multi-node execution agrees on lives as CRC-guarded files in
 the shared cluster directory — there is no network protocol, only
@@ -6,24 +6,24 @@ atomic writes and the lease layer:
 
 ``manifest.json``
     What to run: the fully-resolved job dicts plus execution knobs
-    (batch count, checkpoint cadence, retries, optional fault plan and
-    absolute deadline) and the release that submitted it.  Written
-    once by :func:`submit`; nodes never mutate it.
-``done/batch-NNNN.done``
-    Completion marker, written under the cluster lock only while the
-    writer still holds the batch lease.
+    (checkpoint cadence, retries, optional fault plan and absolute
+    deadline) and the release that submitted it.  Written once by
+    :func:`submit`; nodes never mutate it.
+``done/<digest>.done``
+    Completion marker of one job, written by the holder of the job's
+    lease once the job's record is in the store.
 ``final.json``
     Campaign completion: written by whichever node wins the
-    ``finalize`` lease once every batch is done, alongside the
+    ``finalize`` lease once every job is done, alongside the
     deterministic ``aggregate.json`` (byte-identical to a single-node
     run's — the cluster's acceptance criterion).
 
-The job batches — the unit of lease-based claiming and of migration —
-are not a file: :func:`batch_plan` computes them from the manifest with
-:func:`repro.fleet.spec.assign_shards`, a pure function of job content,
-so every node that loads the manifest holds the same plan.  Finalizing
-is the one one-shot job, guarded by an ordinary lease, so any node can
-do it and any node's death during it is survivable.
+The job — the unit of lease-based claiming and of migration — is named
+by its content digest: :func:`job_plan` maps each digest to its job,
+a pure function of the manifest, so every node that loads the manifest
+holds the same plan.  Finalizing is the one one-shot task, guarded by
+an ordinary lease, so any node can do it and any node's death during
+it is survivable.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 from .. import __version__
 from ..durable import atomic_write, seal_record, unseal_record
 from ..errors import ClusterError, ConfigurationError
-from ..fleet.spec import CampaignJob, assign_shards
+from ..fleet.spec import CampaignJob
 from ..fleet.store import ResultStore, stop_requested
 
 MANIFEST_NAME = "manifest.json"
@@ -62,7 +62,6 @@ def _read_sealed(path: str, what: str) -> Dict:
 
 
 def submit(cluster_dir: str, jobs: List[CampaignJob],
-           batches: Optional[int] = None,
            checkpoint_every: int = 5_000,
            max_retries: int = 2,
            fault_plan: Optional[Dict] = None,
@@ -95,22 +94,17 @@ def submit(cluster_dir: str, jobs: List[CampaignJob],
         raise ConfigurationError("checkpoint_every must be >= 1 cycle")
     if max_retries < 0:
         raise ConfigurationError("max_retries must be >= 0")
-    if batches is None:
-        batches = min(len(jobs), 8)
-    if batches < 1:
-        raise ConfigurationError("batches must be >= 1")
     if fault_plan is not None:
         from ..faults import FaultPlan
         fault_plan = FaultPlan.from_dict(fault_plan).to_dict() \
             if not isinstance(fault_plan, FaultPlan) else fault_plan.to_dict()
     record = {
         "kind": "manifest",
-        # job ids and batch membership hash the release: a node of
-        # another release refuses the manifest
+        # job ids and digests hash the release: a node of another
+        # release refuses the manifest
         "version": __version__,
         "jobs": [job.to_dict() for job in sorted(jobs,
                                                  key=lambda j: j.job_id)],
-        "batches": int(batches),
         "checkpoint_every": int(checkpoint_every),
         "max_retries": int(max_retries),
         "fault_plan": fault_plan,
@@ -136,19 +130,16 @@ def load_manifest(cluster_dir: str) -> Dict:
     return manifest
 
 
-def batch_plan(manifest: Dict) -> Dict[str, List[Dict]]:
-    """The campaign's job batches by name, computed from the manifest.
+def job_plan(manifest: Dict) -> Dict[str, Dict]:
+    """The campaign's jobs by digest, in job-id order.
 
-    ``assign_shards`` over the manifest's jobs with its ``batches``
-    count; empty shards are dropped and the rest are named
-    ``batch-NNNN`` in shard order, each holding its jobs sorted by job
-    id.  A pure function of the manifest, so every node computes the
-    same plan and none has to publish it.
+    The digest names the job's lease and done marker, never the
+    caller-chosen job name.  A pure function of the manifest, so every
+    node computes the same plan and none has to publish it.
     """
-    jobs = [CampaignJob.from_dict(job) for job in manifest["jobs"]]
-    shards = assign_shards(jobs, int(manifest["batches"]))
-    return {f"batch-{index:04d}": [job.to_dict() for job in shard]
-            for index, shard in enumerate(shards)}
+    jobs = sorted((CampaignJob.from_dict(job) for job in manifest["jobs"]),
+                  key=lambda job: job.job_id)
+    return {job.digest: job.to_dict() for job in jobs}
 
 
 def done_path(cluster_dir: str, name: str) -> str:
@@ -162,7 +153,7 @@ def is_done(cluster_dir: str, name: str) -> bool:
 def mark_done(cluster_dir: str, name: str, node: str, token: int) -> None:
     os.makedirs(os.path.join(cluster_dir, DONE_DIR), exist_ok=True)
     atomic_write(done_path(cluster_dir, name),
-                 seal_record({"kind": "done", "batch": name,
+                 seal_record({"kind": "done", "job": name,
                               "node": node, "token": token}) + "\n")
 
 
@@ -228,20 +219,20 @@ def cluster_status(cluster_dir: str,
         manifest = load_manifest(cluster_dir)
     except ClusterError:
         return dict(status, state="empty")
-    plan = batch_plan(manifest)
+    plan = job_plan(manifest)
     now = time.time()
     status.update({
         "total_jobs": len(manifest["jobs"]),
-        "batches": len(plan),
         "deadline_at": manifest.get("deadline_at"),
         "final": is_final(cluster_dir),
         "stop_requested": stop_requested(cluster_dir),
     })
-    batch_states = []
-    for name in plan:
-        entry = {"name": name, "done": is_done(cluster_dir, name)}
+    job_states = []
+    for digest, job in plan.items():
+        entry = {"job_id": CampaignJob.from_dict(job).job_id,
+                 "digest": digest, "done": is_done(cluster_dir, digest)}
         lease_file = os.path.join(cluster_dir, LEASE_DIR,
-                                  name + LEASE_SUFFIX)
+                                  digest + LEASE_SUFFIX)
         if os.path.exists(lease_file):
             try:
                 record = _read_sealed(lease_file, "lease")
@@ -253,10 +244,9 @@ def cluster_status(cluster_dir: str,
                 }
             except (ClusterError, KeyError, TypeError):
                 entry["lease"] = {"damaged": True}
-        batch_states.append(entry)
-    status["batch_states"] = batch_states
-    status["done_batches"] = sum(1 for entry in batch_states
-                                 if entry["done"])
+        job_states.append(entry)
+    status["job_states"] = job_states
+    status["done_jobs"] = sum(1 for entry in job_states if entry["done"])
     # node heartbeat files
     nodes = []
     node_root = os.path.join(cluster_dir, NODE_DIR)

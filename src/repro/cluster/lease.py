@@ -1,7 +1,7 @@
 """Lease files with fencing tokens: who may work on what, provably.
 
 The cluster's unit of mutual exclusion is a **lease file** per resource
-(one per job batch, plus ``finalize``): a single
+(one per job, named by its digest, plus ``finalize``): a single
 CRC-guarded JSON record naming the holder node, an absolute expiry time,
 and a **fencing token** — a cluster-wide monotonic counter bumped on
 every claim.  The protocol is the classic lease/fencing design:
@@ -14,7 +14,7 @@ every claim.  The protocol is the classic lease/fencing design:
 * **Renew (heartbeat)**: under the cluster lock, the holder extends its
   expiry — but only while the on-disk token still matches its own.  A
   lease that was claimed away renews ``False``: the old holder has been
-  *fenced* and must abandon the batch.
+  *fenced* and must abandon the job.
 * **Fence check**: any commit into shared state (the result store)
   re-reads the lease *inside the store's own inter-process lock* and
   raises :class:`~repro.errors.StaleLeaseError` on token mismatch — so
@@ -170,7 +170,7 @@ class LeaseManager:
 
         Claiming over an *expired* lease is the migration path: the
         previous holder's token is fenced out (journal op ``takeover``
-        and the ``repro_cluster_batches_migrated_total`` counter record
+        and the ``repro_cluster_jobs_migrated_total`` counter record
         it) and any commit it attempts afterwards is rejected at the
         result store.
         """
@@ -194,7 +194,7 @@ class LeaseManager:
                     tel = _obs._active
                     if tel is not None:
                         tel.registry.get(
-                            "repro_cluster_batches_migrated_total").inc()
+                            "repro_cluster_jobs_migrated_total").inc()
             else:
                 self._journal("claim", resource=resource, token=token)
             return lease
@@ -260,7 +260,7 @@ class LeaseManager:
                 f"lease on {lease.resource!r} is stale: node {lease.node} "
                 f"holds token {lease.token}, but the store-side check found "
                 f"{'no lease' if current is None else f'token {current.token} (node {current.node})'}"
-                f" — the batch has migrated, abandoning the commit")
+                f" — the job has migrated, abandoning the commit")
 
     def fence_for(self, lease: Lease) -> Callable[[], None]:
         """The ``fence=`` callable for ``ResultStore.append``."""

@@ -97,7 +97,6 @@ def fold_report(cluster_dir: str, nodes: int = 1,
 def run_clustered(jobs: Optional[Sequence[CampaignJob]],
                   cluster_dir: str,
                   nodes: int = 2,
-                  batches: Optional[int] = None,
                   checkpoint_every: int = 5_000,
                   max_retries: int = 2,
                   fault_plan: Optional[Dict] = None,
@@ -118,9 +117,9 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
         raise ConfigurationError("cluster needs nodes >= 1 (0 = in-process)")
     start = time.perf_counter()
     if jobs is not None:
-        submit(cluster_dir, list(jobs), batches=batches,
-               checkpoint_every=checkpoint_every, max_retries=max_retries,
-               fault_plan=fault_plan, deadline_s=deadline_s, cache=cache)
+        submit(cluster_dir, list(jobs), checkpoint_every=checkpoint_every,
+               max_retries=max_retries, fault_plan=fault_plan,
+               deadline_s=deadline_s, cache=cache)
     else:
         load_manifest(cluster_dir)     # fail fast on an empty dir
     if nodes == 0:

@@ -1,30 +1,31 @@
-"""Cluster worker node: claim batches, execute jobs, survive peers dying.
+"""Cluster worker node: claim jobs, execute them, survive peers dying.
 
 A :class:`ClusterNode` is one worker *process* cooperating with its
 peers purely through the shared cluster directory:
 
 1.  **Plan**: load the manifest, refuse it if another release submitted
-    it, and compute the batch plan from it (:func:`batch_plan` — the
-    same on every node, so nothing is elected or published).
-2.  **Claim**: walk the plan's batches, skip done ones, and try each
-    lease.  Claiming over an expired lease is a *migration* — the node
-    inherits the dead peer's per-job checkpoints from the shared
-    checkpoint directory and resumes mid-job, byte-identically.
-3.  **Execute**: jobs run through the ordinary fleet worker with
+    it, and compute the job plan from it (:func:`job_plan` — the same
+    on every node, so nothing is elected or published).
+2.  **Claim**: walk the plan's jobs, skip done ones, and try each
+    job's lease.  Claiming over an expired lease is a *migration* — the
+    node inherits the dead peer's checkpoint from the shared checkpoint
+    directory and resumes mid-job, byte-identically.
+3.  **Execute**: the job runs through the ordinary fleet worker with
     mandatory mid-run checkpoints; the checkpoint boundary doubles as
-    the **heartbeat** (the lease is renewed there and between jobs), so
-    the lease TTL bounds the time a hung simulation can sit on a batch.
-4.  **Commit**: every record lands via the result store's fenced append;
+    the **heartbeat** (the lease is renewed there), so the lease TTL
+    bounds the time a hung simulation can sit on a job.
+4.  **Commit**: the record lands via the result store's fenced append;
     a node whose lease was claimed away raises
     :class:`~repro.errors.StaleLeaseError` *inside the store lock* and
-    abandons the batch without writing a byte.
-5.  **Finalize**: when every batch is done, whoever wins the
+    abandons the job without writing a byte.  A committed job is marked
+    done and its lease released.
+5.  **Finalize**: when every job is done, whoever wins the
     ``finalize`` lease writes the deterministic aggregate — byte-
     identical to a single-node run of the same campaign.
 
 Per-job failures feed a node-local circuit breaker: a node whose own
 environment is poisoned (every job crashing) backs off claiming instead
-of burning through the retry budget of every batch in the plan.
+of burning through the retry budget of every job in the plan.
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ from ..obs import runtime as _obs
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.journal import AdmissionJournal
 from .coordinator import (CACHE_DIR, CHECKPOINT_DIR, CLUSTER_JOURNAL_NAME,
-                          NODE_DIR, batch_plan, cluster_status, finalize,
-                          is_done, is_final, load_manifest, mark_done)
+                          NODE_DIR, cluster_status, finalize, is_done,
+                          is_final, job_plan, load_manifest, mark_done)
 # bench/phases.py patches node.publish_plan (its ``cluster.plan`` span);
-# nodes compute the plan with batch_plan and publish nothing
-from .coordinator import batch_plan as publish_plan  # noqa: F401
+# nodes compute the plan with job_plan and publish nothing
+from .coordinator import job_plan as publish_plan  # noqa: F401
 from .lease import Lease, LeaseManager
 
-#: the one lease resource that is not a job batch
+#: the one lease resource that is not a job
 FINALIZE_RESOURCE = "finalize"
 
 #: node exit summaries (``ClusterNode.run`` return value ``state``)
@@ -81,10 +82,10 @@ class ClusterNode:
             raise ClusterError(
                 f"cluster manifest in {cluster_dir!r} was submitted by "
                 f"repro {self.manifest.get('version')}, this node runs "
-                f"{__version__}: job ids and batches hash the release, "
+                f"{__version__}: job ids and digests hash the release, "
                 f"so nodes of different releases cannot share a campaign")
-        #: batch name -> its jobs, the same on every node
-        self.batches = batch_plan(self.manifest)
+        #: job digest -> job dict in job-id order, the same on every node
+        self.jobs = job_plan(self.manifest)
         self.journal = AdmissionJournal(cluster_dir,
                                         name=CLUSTER_JOURNAL_NAME)
         self.leases = LeaseManager(cluster_dir, self.node_id, ttl_s=ttl_s,
@@ -103,7 +104,6 @@ class ClusterNode:
             window_s=30.0, min_samples=4, failure_threshold=0.75,
             cooldown_s=0.5, max_cooldown_s=10.0)
         self.jobs_done = 0
-        self.batches_done = 0
         self.fenced = 0
         self._stop_reason: Optional[str] = None
         #: the resume scan's state: committed job ids, and the store
@@ -123,7 +123,6 @@ class ClusterNode:
                 "ttl_s": self.leases.ttl_s, "state": state,
                 "updated_at": self.clock(),
                 "jobs_done": self.jobs_done,
-                "batches_done": self.batches_done,
             }) + "\n")
         tel = _obs._active
         if tel is not None:
@@ -148,10 +147,10 @@ class ClusterNode:
         directory and the manifest deadline, else ``"fenced"`` or
         ``None``.
 
-        With ``holder`` (a one-element list with the batch lease) it is
+        With ``holder`` (a one-element list with the job's lease) it is
         also the heartbeat the fleet worker calls before every attempt
         and at every checkpoint boundary: renew the lease and beat.  A
-        refused renewal means the batch migrated — ``"fenced"`` at the
+        refused renewal means the job migrated — ``"fenced"`` at the
         point where the checkpoint just written is exactly what the new
         holder resumes from.
         """
@@ -221,88 +220,64 @@ class ClusterNode:
         """Fenced append: verify-the-lease-then-write, atomically."""
         self.store.append(record, fence=self.leases.fence_for(lease))
 
-    def _run_batch(self, lease: Lease) -> str:
-        """Execute one claimed batch to completion; returns an outcome.
+    def _run_job(self, lease: Lease) -> str:
+        """Run one claimed job to a committed record; returns an outcome.
 
-        Outcomes: ``"done"`` (marker written, lease released),
-        ``"fenced"`` (lost the lease — a peer migrated the batch away —
-        or handed it back with the breaker open),
-        ``"stopped"``/``"deadline"`` (stopped at a safe boundary, lease
-        released so a peer — or a later restart — picks the batch up
-        without waiting out the TTL).
+        Outcomes: ``"done"`` (record committed, by this node or by a
+        holder that died before marking the job done; marker written,
+        lease released), ``"fenced"`` (lost the lease — a peer migrated
+        the job away), ``"stopped"``/``"deadline"`` (stopped at a safe
+        boundary, lease released so a peer — or a later restart — picks
+        the job up without waiting out the TTL).
         """
         holder = [lease]
-        should_stop = partial(self._should_stop, holder)
-        jobs = self.batches[lease.resource]
+        job_dict = self.jobs[lease.resource]
+        job = CampaignJob.from_dict(job_dict)
+        self._emit("node.job.claimed", job_id=job.job_id, token=lease.token)
         tel = _obs._active
         t0 = tel.tracer.now_us() if tel is not None else 0.0
         # the resume scan shares the store lock with commits: a record
         # is either visible here or its writer will be fenced
         with file_lock(self.store.lock_path):
-            done_ids = self._completed_ids()
+            committed = job.job_id in self._completed_ids()
         outcome = "done"
-        for job_dict in jobs:
-            job = CampaignJob.from_dict(job_dict)
-            if job.job_id in done_ids:
-                continue
-            if not self.breaker.allow():
-                # this node looks sick — hand the batch back rather than
-                # quarantine jobs a healthy peer would complete
-                self._emit("node.breaker.open", batch=lease.resource,
-                           retry_after_s=self.breaker.retry_after_s())
-                outcome = self._should_stop() or "fenced"
-                self.leases.release(holder[0])
-                break
+        if not committed:
             payload = None if self.cache is None else self.cache.lookup(job)
-            if payload is not None:
-                record = job_record(job, "ok", "cache", 0, 0.0,
-                                    payload=payload)
-            else:
-                try:
-                    record = self._execute_with_retries(job_dict,
-                                                        should_stop)
-                except CampaignStopped as stop:
-                    outcome = stop.reason
-                    if outcome == "fenced":
-                        self.fenced += 1
-                        self._emit("node.fenced", batch=lease.resource,
-                                   token=holder[0].token)
-                    else:
-                        # release so a surviving peer need not wait out
-                        # the TTL; the checkpoint stays for the resume
-                        self.leases.release(holder[0])
-                    break
             try:
+                if payload is not None:
+                    record = job_record(job, "ok", "cache", 0, 0.0,
+                                        payload=payload)
+                else:
+                    record = self._execute_with_retries(
+                        job_dict, partial(self._should_stop, holder))
                 self._commit(record, holder[0])
+            except CampaignStopped as stop:
+                outcome = stop.reason
             except StaleLeaseError:
-                self.fenced += 1
-                self._emit("node.fenced", batch=lease.resource,
-                           token=holder[0].token, at="commit")
-                outcome = "fenced"
-                break
-            done_ids.add(job.job_id)
-            self.jobs_done += 1
-            self._count_job(record["status"])
-            if record["status"] == "ok" and record["source"] == "executed" \
-                    and self.cache is not None:
-                self.cache.store(job, record["payload"])
-            self._beat("working")
-        else:
-            # every job committed: mark done while the lease still holds
-            renewed = self.leases.renew(holder[0])
-            if renewed is None:
                 outcome = "fenced"
             else:
+                self.jobs_done += 1
+                self._count_job(record["status"])
+                if record["status"] == "ok" and \
+                        record["source"] == "executed" and \
+                        self.cache is not None:
+                    self.cache.store(job, record["payload"])
+        if outcome == "fenced":
+            self.fenced += 1
+            self._emit("node.fenced", job_id=job.job_id,
+                       token=holder[0].token)
+        else:
+            if outcome == "done":
                 mark_done(self.cluster_dir, lease.resource, self.node_id,
-                          renewed.token)
-                self.batches_done += 1
-                self.leases.release(renewed)
-                self._emit("node.batch.done", batch=lease.resource,
-                           jobs=len(jobs))
+                          holder[0].token)
+                self._emit("node.job.done", job_id=job.job_id)
+            # released so a peer need not wait out the TTL; a stopped
+            # job's checkpoint stays for the resume
+            self.leases.release(holder[0])
         if tel is not None:
             tel.tracer.complete(
-                "cluster.batch", t0, tel.tracer.now_us() - t0, "cluster",
-                args={"batch": lease.resource, "node": self.node_id,
+                "cluster.job", t0, tel.tracer.now_us() - t0, "cluster",
+                args={"job_id": job.job_id, "node": self.node_id,
                       "outcome": outcome})
         return outcome
 
@@ -327,24 +302,22 @@ class ClusterNode:
             if not self.breaker.allow():
                 # this node's own failure rate tripped its breaker:
                 # stop claiming (healthy peers keep the campaign moving)
-                # until the cooldown lets a probe batch through
+                # until the cooldown lets a probe job through
                 time.sleep(min(max(self.breaker.retry_after_s(), 0.05),
                                1.0))
                 continue
             claimed = None
             pending = 0
-            for name in self.batches:
-                if is_done(self.cluster_dir, name):
+            for digest in self.jobs:
+                if is_done(self.cluster_dir, digest):
                     continue
                 pending += 1
-                lease = self.leases.claim(name)
+                lease = self.leases.claim(digest)
                 if lease is not None:
                     claimed = lease
                     break
             if claimed is not None:
-                self._emit("node.batch.claimed", batch=claimed.resource,
-                           token=claimed.token)
-                outcome = self._run_batch(claimed)
+                outcome = self._run_job(claimed)
                 if outcome in (NODE_STOPPED, NODE_DEADLINE):
                     state = outcome
                     break
@@ -362,13 +335,13 @@ class ClusterNode:
                     finally:
                         self.leases.release(final_lease)
                     break
-            # batches all leased out (or finalize contended): idle-wait
+            # jobs all leased out (or finalize contended): idle-wait
             time.sleep(self.poll_s)
         if aggregate_path is None and is_final(self.cluster_dir):
             aggregate_path = self.store.aggregate_path
         self._beat(state)
         self._emit("node.stop", state=state, jobs_done=self.jobs_done,
-                   batches_done=self.batches_done, fenced=self.fenced)
+                   fenced=self.fenced)
         tel = _obs._active
         if tel is not None:
             status = cluster_status(self.cluster_dir)
@@ -377,7 +350,6 @@ class ClusterNode:
         return {
             "state": state, "node": self.node_id,
             "jobs_done": self.jobs_done,
-            "batches_done": self.batches_done,
             "fenced": self.fenced,
             "aggregate_path": aggregate_path,
         }

@@ -91,7 +91,7 @@ class CampaignStopped(ReproError, RuntimeError):
     and, once the file is deleted, a resumed run continues
     byte-identically), ``"deadline"`` (the campaign's wall-clock
     deadline passed: terminal for the submission), or, on a cluster
-    node, ``"fenced"`` (the batch lease was lost).  Not a job failure:
+    node, ``"fenced"`` (the job's lease was lost).  Not a job failure:
     callers turn it into an outcome status or node state, never a
     retry.
     """

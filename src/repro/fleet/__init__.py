@@ -18,15 +18,14 @@ from .api import CampaignSpec, jobs_for, run_campaign
 from .cache import ResultCache
 from .metrics import CampaignMetrics
 from .orchestrator import CampaignReport, CampaignRunner
-from .spec import (CampaignJob, assign_shards, build_matrix, canonical_json,
-                   job_digest)
+from .spec import CampaignJob, build_matrix, canonical_json, job_digest
 from .store import ResultStore
 from .worker import execute_job, run_shard
 
 __all__ = [
     "CampaignJob", "CampaignMetrics", "CampaignReport", "CampaignRunner",
-    "CampaignSpec", "ResultCache", "ResultStore", "assign_shards",
-    "build_matrix", "campaign_matrix", "canonical_json", "execute_job",
-    "job_digest", "jobs_for", "matrix_table", "profile_of",
-    "rank_portfolio", "run_campaign", "run_shard", "volume_weights",
+    "CampaignSpec", "ResultCache", "ResultStore", "build_matrix",
+    "campaign_matrix", "canonical_json", "execute_job", "job_digest",
+    "jobs_for", "matrix_table", "profile_of", "rank_portfolio",
+    "run_campaign", "run_shard", "volume_weights",
 ]

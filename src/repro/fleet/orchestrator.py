@@ -13,9 +13,11 @@ Execution model
   cluster node shares.  A job it refuses is **quarantined**: recorded
   with its error and excluded from the aggregate, while every other job
   completes normally.
-* A worker process dying outright (or a job exceeding ``timeout_s``)
-  breaks the pool; the orchestrator fails the jobs whose results had not
-  come back, abandons the pool, and continues on a fresh one.
+* A worker process dying outright breaks the pool; the orchestrator
+  fails the jobs whose results had not come back, ends the pool's
+  workers, and continues on a fresh pool.  A job exceeding
+  ``timeout_s`` fails alone: the jobs behind it run again on a fresh
+  pool at the same attempt.
 * Before anything is submitted, each job is looked up in the
   content-addressed :class:`~repro.fleet.cache.ResultCache` and, under
   ``resume=True``, in the campaign's JSONL store — hits never reach the
@@ -193,6 +195,11 @@ class CampaignRunner:
         if self._pool is None:
             return
         pool, self._pool = self._pool, None
+        if broken:
+            # the interpreter joins every pool worker at exit, so a stuck
+            # one must be ended (the table terminate_broken walks too)
+            for process in list((pool._processes or {}).values()):
+                process.kill()
         # a broken/stuck pool must not be waited on — abandon it
         pool.shutdown(wait=not broken, cancel_futures=broken)
 
@@ -213,8 +220,14 @@ class CampaignRunner:
                    attempt: int) -> Iterator[Dict]:
         """Execute one round, one task per job, surviving pool breakage.
 
-        Yields each job's outcome as soon as it is in, in job order, so
-        the caller records it before the next job is waited on.
+        Yields each job's outcome as soon as it is in, so the caller
+        records it before the next job is waited on.  Outcomes come in
+        job order until a job exceeds ``timeout_s``: its failure comes
+        next, then the later results already in, and the jobs still
+        running or queued run again on a fresh pool at the same attempt,
+        so only the job that ran out of time is charged.  A dead worker
+        charges every job whose result had not come back: the culprit is
+        unknown.
         """
         if self.workers == 0:
             for job in jobs:
@@ -228,29 +241,36 @@ class CampaignRunner:
                     return
             return
 
-        pool = self._ensure_pool()
-        # _should_stop is a campaign_stop partial (or None): it pickles
-        futures = [(pool.submit(_pool_task, job.to_dict(), attempt,
-                                self.fault_plan, self.checkpoint,
-                                self._should_stop, self.backend), job)
-                   for job in jobs]
-        abandon = False
-        for future, job in futures:
-            try:
-                (outcome,) = future.result(self.timeout_s)
-            except FutureTimeoutError:
-                # the error text names the task, a one-job shard
-                outcome = self._synthetic_failure(
-                    job, attempt,
-                    f"timeout: shard exceeded {self.timeout_s:.1f} s")
-                abandon = True         # a worker is stuck in there
-            except BrokenProcessPool:
-                outcome = self._synthetic_failure(
-                    job, attempt, "worker process died")
-                abandon = True
-            yield outcome
-        if abandon:
-            self._retire_pool(broken=True)
+        while jobs:
+            pool = self._ensure_pool()
+            # _should_stop is a campaign_stop partial (or None): it pickles
+            futures = [(pool.submit(_pool_task, job.to_dict(), attempt,
+                                    self.fault_plan, self.checkpoint,
+                                    self._should_stop, self.backend), job)
+                       for job in jobs]
+            jobs, abandon = [], False
+            for index, (future, job) in enumerate(futures):
+                try:
+                    (outcome,) = future.result(self.timeout_s)
+                except FutureTimeoutError:
+                    # the error text names the task, a one-job shard
+                    yield self._synthetic_failure(
+                        job, attempt,
+                        f"timeout: shard exceeded {self.timeout_s:.1f} s")
+                    for later, later_job in futures[index + 1:]:
+                        if later.done() and later.exception() is None:
+                            yield later.result()[0]
+                        else:
+                            jobs.append(later_job)
+                    abandon = True     # a worker is stuck in there
+                    break
+                except BrokenProcessPool:
+                    outcome = self._synthetic_failure(
+                        job, attempt, "worker process died")
+                    abandon = True
+                yield outcome
+            if abandon:
+                self._retire_pool(broken=True)
 
     # -- record plumbing -----------------------------------------------------
     def _finish(self, job: CampaignJob, record: Dict,

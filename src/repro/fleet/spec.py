@@ -11,9 +11,7 @@ cache, and replayable for campaign resume.
 Identity is content-addressed: :func:`job_digest` hashes the canonical
 JSON of the spec together with the package version, so any change to a
 customer's parameters, the device config choice, the cycle budget, or the
-simulator version yields a new cache key.  :func:`assign_shards` cuts the
-cluster's lease batches by digest — the mapping depends only on the job
-set and shard count, never on submission or completion order.
+simulator version yields a new cache key.
 """
 
 from __future__ import annotations
@@ -126,19 +124,3 @@ def build_matrix(customers: Sequence,
         raise ConfigurationError("campaign job labels must be unique")
     return jobs
 
-
-def assign_shards(jobs: Sequence[CampaignJob],
-                  n_shards: int) -> List[List[CampaignJob]]:
-    """Deterministically partition jobs into at most ``n_shards`` shards.
-
-    A job's shard is ``int(digest, 16) % n_shards`` — a pure function of
-    job content and shard count, independent of list order or timing.
-    Jobs within a shard are ordered by ``job_id``; empty shards are
-    dropped.  The cluster's ``batch_plan`` cuts its lease batches with it.
-    """
-    if n_shards < 1:
-        raise ConfigurationError("n_shards must be >= 1")
-    buckets: List[List[CampaignJob]] = [[] for _ in range(n_shards)]
-    for job in sorted(jobs, key=lambda j: j.job_id):
-        buckets[int(job.digest, 16) % n_shards].append(job)
-    return [bucket for bucket in buckets if bucket]

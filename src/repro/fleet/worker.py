@@ -127,7 +127,7 @@ def _apply_fault(fault: Optional[str], attempt: int) -> None:
 def checkpoint_path(checkpoint_dir: str, job: Dict) -> str:
     """Where a job's periodic checkpoint lives (content-addressed name)."""
     return os.path.join(checkpoint_dir,
-                        CampaignJob.from_dict(job).job_id + ".ckpt")
+                        CampaignJob.from_dict(job).digest + ".ckpt")
 
 
 def _discard_checkpoints(path: str) -> None:

@@ -153,8 +153,8 @@ def _register_core_families(reg: MetricsRegistry) -> None:
     reg.counter("repro_cluster_leases_total",
                 "lease lifecycle events, by event "
                 "(claimed/renewed/expired/fenced/released)", ("event",))
-    reg.counter("repro_cluster_batches_migrated_total",
-                "job batches reclaimed from another holder's expired lease")
+    reg.counter("repro_cluster_jobs_migrated_total",
+                "jobs reclaimed from another holder's expired lease")
     reg.gauge("repro_cluster_heartbeat_age_seconds",
               "seconds since each node's last heartbeat at last status "
               "scan", ("node",))

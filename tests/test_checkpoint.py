@@ -335,6 +335,33 @@ def test_checkpoint_every_requires_campaign_dir():
                      checkpoint_every=0)
 
 
+def test_checkpoint_files_are_named_by_the_job_digest(tmp_path,
+                                                     monkeypatch):
+    """A job's name is caller-chosen (a served tenant's spec), so it never
+    names a file: checkpoints, their fallbacks and message logs sit flat
+    in ``<campaign_dir>/checkpoints/`` under the job's digest, even for a
+    name that climbs out of the directory or nests in it.  Discarding is
+    stubbed to keep what a STOP or a kill would leave."""
+    from repro.fleet import worker
+    monkeypatch.setattr(worker, "_discard_checkpoints", lambda path: None)
+    jobs = [CampaignJob(name=name, domain="engine", device="tc1797",
+                        cycles=4_000) for name in ("a", "../../escaped",
+                                                   "x/y")]
+    report = run_campaign(jobs, workers=0,
+                          campaign_dir=str(tmp_path / "c1"),
+                          checkpoint_every=1_000, max_retries=1)
+    assert [(r["status"], r["attempts"]) for r in report.records] == \
+        [("ok", 1)] * 3
+    assert os.listdir(str(tmp_path)) == ["c1"]
+    directory = tmp_path / "c1" / "checkpoints"
+    names = os.listdir(str(directory))
+    assert all((directory / name).is_file() for name in names)
+    digests = {job.digest for job in jobs}
+    assert {name.split(".", 1)[0] for name in names} == digests
+    assert {name.split(".", 1)[1] for name in names} == \
+        {"ckpt", "ckpt.prev", "msglog", "msglog.lock"}
+
+
 # -- satellite: crash-consistent JSONL result store --------------------------
 
 def _records(n, start=0):

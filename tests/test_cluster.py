@@ -1,15 +1,16 @@
 """Cluster coordination units + the end-to-end in-process guarantees.
 
-Covers the coordinator artifacts (manifest validation, the batch plan
-every node computes, deduped finalization), the node's and the local
-runner's refusals (another release's manifest, a campaign every node
-left unfinished, a negative node count), the multi-writer hardening of
-the result store (advisory lock + two *processes* appending
-concurrently) and the content-addressed cache (atomic writes, digest /
-CRC re-verification, quarantine-on-damage), and the flagship property:
-an in-process cluster run produces an ``aggregate.json`` byte-identical
-to a plain single-node campaign.  (Node *death* is exercised by the
-subprocess drill in ``test_cluster_chaos.py``.)
+Covers the coordinator artifacts (manifest validation, the job plan
+every node computes, one lease per job, deduped finalization), the
+node's and the local runner's refusals (another release's manifest, a
+campaign every node left unfinished, a negative node count), the
+multi-writer hardening of the result store (advisory lock + two
+*processes* appending concurrently) and the content-addressed cache
+(atomic writes, digest / CRC re-verification, quarantine-on-damage),
+and the flagship property: an in-process cluster run produces an
+``aggregate.json`` byte-identical to a plain single-node campaign.
+(Node *death* is exercised by the subprocess drill in
+``test_cluster_chaos.py``.)
 """
 
 import json
@@ -22,16 +23,17 @@ import pytest
 
 from repro import __version__
 from repro.cli import main
-from repro.cluster import (ClusterNode, batch_plan, cluster_status,
-                           dedupe_records, local, request_stop,
-                           run_clustered, submit)
-from repro.cluster.coordinator import load_manifest
+from repro.cluster import (ClusterNode, cluster_status, dedupe_records,
+                           job_plan, local, request_stop, run_clustered,
+                           submit)
+from repro.cluster.coordinator import CLUSTER_JOURNAL_NAME, load_manifest
 from repro.durable import file_lock, seal_record, unseal_record
 from repro.errors import ClusterError, ConfigurationError
 from repro.fleet.api import run_campaign
 from repro.fleet.cache import QUARANTINE_SUFFIX, ResultCache
-from repro.fleet.spec import CampaignJob, assign_shards
+from repro.fleet.spec import CampaignJob
 from repro.fleet.store import ResultStore
+from repro.resilience.journal import AdmissionJournal
 
 CYCLES = 2_000
 EVERY = 500
@@ -70,26 +72,27 @@ def test_fault_plan_disables_shared_cache(tmp_path):
 
 
 def test_publish_plan_is_deterministic(tmp_path):
-    """Nothing is published: every node computes the same batch plan
-    from the manifest, ``assign_shards`` over its jobs in shard order."""
+    """Nothing is published: every node computes the same job plan from
+    the manifest, each job under its digest, in job-id order whatever
+    the manifest's order."""
     cdir = str(tmp_path)
     jobs = make_jobs(5)
-    submit(cdir, jobs, batches=3)
-    plan = batch_plan(load_manifest(cdir))
-    assert batch_plan(load_manifest(cdir)) == plan
-    expected = {f"batch-{index:04d}": [job.to_dict() for job in shard]
-                for index, shard in enumerate(assign_shards(jobs, 3))}
-    assert list(plan.items()) == list(expected.items())
+    submit(cdir, jobs)
+    manifest = load_manifest(cdir)
+    plan = job_plan(manifest)
+    expected = [(job.digest, job.to_dict())
+                for job in sorted(jobs, key=lambda job: job.job_id)]
+    assert list(plan.items()) == expected
+    reordered = dict(manifest, jobs=list(reversed(manifest["jobs"])))
+    assert list(job_plan(reordered).items()) == expected
     for node_id in ("n1", "n2"):
-        assert ClusterNode(cdir, node_id=node_id).batches == expected
-    # every job appears in exactly one batch
-    seen = [job["name"] for members in plan.values() for job in members]
-    assert sorted(seen) == sorted(job.name for job in jobs)
+        assert list(ClusterNode(cdir, node_id=node_id).jobs.items()) == \
+            expected
 
 
 def test_node_refuses_another_releases_manifest(tmp_path):
-    """Job ids and batch membership hash the release, so a node must not
-    join a campaign another release submitted."""
+    """Job ids and digests hash the release, so a node must not join a
+    campaign another release submitted."""
     cdir = str(tmp_path)
     submit(cdir, make_jobs(2))
     manifest = load_manifest(cdir)
@@ -262,7 +265,7 @@ def test_cluster_aggregate_matches_single_node_bytes(tmp_path):
     byte-identical to a plain ``run_campaign`` of the same jobs."""
     jobs = make_jobs(4)
     report = run_clustered(jobs, str(tmp_path / "cluster"), nodes=0,
-                           batches=2, checkpoint_every=EVERY)
+                           checkpoint_every=EVERY)
     assert report.aggregate_path and not report.preempted
     assert len(report.ok_records) == 4
     ref = run_campaign(jobs, workers=0,
@@ -290,10 +293,22 @@ def test_cold_cluster_run_looks_up_every_job_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ResultCache, "lookup", counting_lookup)
     monkeypatch.setattr(ResultCache, "__len__", no_listing)
     jobs = make_jobs(3)
-    report = run_clustered(jobs, str(tmp_path), nodes=0, batches=2,
+    report = run_clustered(jobs, str(tmp_path), nodes=0,
                            checkpoint_every=EVERY)
     assert report.metrics.executed == 3
     assert sorted(lookups) == sorted(job.job_id for job in jobs)
+
+
+def test_cluster_claims_one_lease_per_job(tmp_path):
+    """The job is the lease resource, named by its digest; the one other
+    resource a campaign claims is ``finalize``."""
+    jobs = make_jobs(3)
+    run_clustered(jobs, str(tmp_path), nodes=0, checkpoint_every=EVERY)
+    journal = AdmissionJournal(str(tmp_path), name=CLUSTER_JOURNAL_NAME)
+    claimed = [record["resource"] for record in journal.replay()
+               if record["op"] == "claim"]
+    assert sorted(claimed) == sorted([job.digest for job in jobs] +
+                                     ["finalize"])
 
 
 def test_cluster_quarantines_poison_jobs(tmp_path):
@@ -301,7 +316,7 @@ def test_cluster_quarantines_poison_jobs(tmp_path):
                                        device="tc1797", params={},
                                        cycles=CYCLES, seed=7,
                                        fault="crash")]
-    report = run_clustered(jobs, str(tmp_path), nodes=0, batches=2,
+    report = run_clustered(jobs, str(tmp_path), nodes=0,
                            checkpoint_every=EVERY, max_retries=1)
     assert len(report.ok_records) == 3
     assert [r["job_id"] for r in report.quarantined] == \
@@ -314,7 +329,7 @@ def test_cluster_flaky_job_retries_in_place(tmp_path):
                                        device="tc1797", params={},
                                        cycles=CYCLES, seed=7,
                                        fault="flaky:2")]
-    report = run_clustered(jobs, str(tmp_path), nodes=0, batches=1,
+    report = run_clustered(jobs, str(tmp_path), nodes=0,
                            checkpoint_every=EVERY, max_retries=3)
     assert len(report.ok_records) == 3 and not report.quarantined
     flaky = [r for r in report.records if r["job"]["name"] == "flaky"][0]
@@ -326,12 +341,12 @@ def test_second_node_resumes_a_half_finished_campaign(tmp_path):
     (the resume scan) and completes the rest."""
     cdir = str(tmp_path)
     jobs = make_jobs(4)
-    submit(cdir, jobs, batches=2, checkpoint_every=EVERY)
+    submit(cdir, jobs, checkpoint_every=EVERY)
     first = ClusterNode(cdir, node_id="n1")
-    lease = first.leases.claim(next(iter(first.batches)))
-    assert first._run_batch(lease) == "done"
+    lease = first.leases.claim(next(iter(first.jobs)))
+    assert first._run_job(lease) == "done"
     done_before = first.jobs_done
-    assert 0 < done_before < 4
+    assert done_before == 1
     second = ClusterNode(cdir, node_id="n2")
     summary = second.run()
     assert summary["state"] == "done"
@@ -350,58 +365,59 @@ class _OpenBreaker:
         return 1.0
 
 
-def _claimed_batch(tmp_path, deadline_s=None, breaker=None):
-    """A node holding the lease on a 2-job, 1-batch campaign."""
+def _claimed_job(tmp_path, deadline_s=None):
+    """A node holding the lease on the first job of a 2-job campaign."""
     cdir = str(tmp_path)
-    submit(cdir, make_jobs(2), batches=1, checkpoint_every=EVERY,
+    submit(cdir, make_jobs(2), checkpoint_every=EVERY,
            deadline_s=deadline_s)
-    node = ClusterNode(cdir, node_id="n1", breaker=breaker)
-    lease = node.leases.claim(next(iter(node.batches)))
+    node = ClusterNode(cdir, node_id="n1")
+    lease = node.leases.claim(next(iter(node.jobs)))
     return node, lease
 
 
-def test_run_batch_stop_file_reports_stopped_and_releases(tmp_path):
-    node, lease = _claimed_batch(tmp_path)
+def test_run_job_stop_file_reports_stopped_and_releases(tmp_path):
+    node, lease = _claimed_job(tmp_path)
     request_stop(str(tmp_path))
-    assert node._run_batch(lease) == "stopped"
+    assert node._run_job(lease) == "stopped"
     assert node.leases.read(lease.resource) is None
     assert node.jobs_done == 0 and node.fenced == 0
 
 
-def test_run_batch_passed_deadline_reports_deadline(tmp_path):
-    node, lease = _claimed_batch(tmp_path, deadline_s=1e-6)
-    assert node._run_batch(lease) == "deadline"
+def test_run_job_passed_deadline_reports_deadline(tmp_path):
+    node, lease = _claimed_job(tmp_path, deadline_s=1e-6)
+    assert node._run_job(lease) == "deadline"
     assert node.leases.read(lease.resource) is None
 
 
-def test_run_batch_refused_renewal_reports_fenced(tmp_path, monkeypatch):
-    node, lease = _claimed_batch(tmp_path)
+def test_run_job_refused_renewal_reports_fenced(tmp_path, monkeypatch):
+    node, lease = _claimed_job(tmp_path)
     monkeypatch.setattr(node.leases, "renew", lambda held: None)
-    assert node._run_batch(lease) == "fenced"
+    assert node._run_job(lease) == "fenced"
     assert node.fenced == 1
     assert node.jobs_done == 0
 
 
-def test_run_batch_open_breaker_reports_the_real_stop_reason(tmp_path):
-    """With the breaker open the node hands the batch back; a passed
-    deadline must still read as ``"deadline"``, not ``"stopped"``."""
-    node, lease = _claimed_batch(tmp_path, deadline_s=1e-6,
-                                 breaker=_OpenBreaker())
-    assert node._run_batch(lease) == "deadline"
-    assert node.leases.read(lease.resource) is None
+def test_open_breaker_node_reports_the_real_stop_reason(tmp_path):
+    """A node whose breaker refuses every job claims nothing; a passed
+    deadline must still end it as ``"deadline"``, not ``"stopped"``."""
+    cdir = str(tmp_path)
+    submit(cdir, make_jobs(2), checkpoint_every=EVERY, deadline_s=1e-6)
+    node = ClusterNode(cdir, node_id="n1", breaker=_OpenBreaker())
+    assert node.run()["state"] == "deadline"
+    assert node.leases.leases() == []
 
 
 def test_cluster_status_shapes(tmp_path):
     empty = cluster_status(str(tmp_path / "nothing"))
     assert empty["state"] == "empty"
     cdir = str(tmp_path / "c")
-    submit(cdir, make_jobs(2), batches=2)
+    submit(cdir, make_jobs(2))
     status = cluster_status(cdir)
-    assert status["total_jobs"] == 2 and status["done_batches"] == 0
+    assert status["total_jobs"] == 2 and status["done_jobs"] == 0
     run_clustered(None, cdir, nodes=0)
     status = cluster_status(cdir)
     assert status["final"]
-    assert status["done_batches"] == status["batches"]
+    assert status["done_jobs"] == status["total_jobs"]
     # the plan is computed on each node, never written
     assert not {"plan.json", "batches"} & set(os.listdir(cdir))
     assert status["records"] == {"ok": 2, "quarantined": 0}
@@ -414,7 +430,7 @@ def test_shared_cache_dedupes_across_campaigns(tmp_path):
     previous node wrote (the content-addressed dedupe layer)."""
     jobs = make_jobs(3)
     report_a = run_clustered(jobs, str(tmp_path / "a"), nodes=0,
-                             batches=2, checkpoint_every=EVERY)
+                             checkpoint_every=EVERY)
     assert report_a.metrics.executed == 3
     # copy the shared cache into the new cluster dir wholesale
     os.makedirs(str(tmp_path / "b"))
@@ -422,7 +438,7 @@ def test_shared_cache_dedupes_across_campaigns(tmp_path):
     shutil.copytree(str(tmp_path / "a" / "cache"),
                     str(tmp_path / "b" / "cache"))
     report_b = run_clustered(jobs, str(tmp_path / "b"), nodes=0,
-                             batches=2, checkpoint_every=EVERY)
+                             checkpoint_every=EVERY)
     assert report_b.metrics.cache_hits == 3
     assert report_b.metrics.executed == 0
     with open(report_a.aggregate_path, "rb") as handle:

@@ -2,8 +2,8 @@
 
 The whole point of the cluster layer, asserted end to end with *real
 processes*: two ``repro node`` workers share a directory; one is
-SIGKILLed while it holds a batch lease.  The survivor must observe the
-lease expire, take the batch over (a journaled ``takeover``), resume
+SIGKILLed while it holds a job lease.  The survivor must observe the
+lease expire, take the job over (a journaled ``takeover``), resume
 the victim's half-finished job from its shared checkpoint, and finalize
 an ``aggregate.json`` byte-identical to an undisturbed single-node run.
 
@@ -28,7 +28,7 @@ from repro.fleet.api import run_campaign
 from repro.fleet.spec import CampaignJob
 from repro.resilience.journal import AdmissionJournal
 
-CYCLES = 60_000          # long enough that a node dies mid-batch
+CYCLES = 60_000          # long enough that a node dies mid-job
 EVERY = 1_000            # checkpoint cadence = heartbeat cadence
 TTL_S = 1.0              # short lease so migration happens quickly
 DRILL_TIMEOUT_S = 240.0
@@ -51,13 +51,13 @@ def _spawn(cluster_dir, node_id):
 
 
 def _wait_for_lease_held_by(cluster_dir, node_id, deadline):
-    """Block until ``node_id`` holds a batch lease; returns its resource."""
+    """Block until ``node_id`` holds a job lease; returns its resource."""
     lease_dir = os.path.join(cluster_dir, LEASE_DIR)
     while time.time() < deadline:
         if os.path.isdir(lease_dir):
             for name in sorted(os.listdir(lease_dir)):
                 if not name.endswith(LEASE_SUFFIX) or \
-                        not name.startswith("batch-"):
+                        name.startswith("finalize"):
                     continue
                 try:
                     with open(os.path.join(lease_dir, name)) as handle:
@@ -68,22 +68,21 @@ def _wait_for_lease_held_by(cluster_dir, node_id, deadline):
                     return record["resource"]
         time.sleep(0.02)
     raise AssertionError(
-        f"node {node_id} never claimed a batch within the drill timeout")
+        f"node {node_id} never claimed a job within the drill timeout")
 
 
 @pytest.mark.slow
 def test_sigkill_mid_campaign_migrates_and_stays_byte_identical(tmp_path):
     jobs = make_jobs()
     cluster_dir = str(tmp_path / "cluster")
-    submit(cluster_dir, jobs, batches=2, checkpoint_every=EVERY,
-           max_retries=1)
+    submit(cluster_dir, jobs, checkpoint_every=EVERY, max_retries=1)
     deadline = time.time() + DRILL_TIMEOUT_S
 
     victim = _spawn(cluster_dir, "victim")
     survivor = _spawn(cluster_dir, "survivor")
     try:
-        # kill the victim the moment it owns a batch — mid-campaign, with
-        # unfinished jobs behind its lease
+        # kill the victim the moment it owns a job — mid-campaign, with
+        # the job unfinished behind its lease
         batch = _wait_for_lease_held_by(cluster_dir, "victim", deadline)
         # give it a beat so at least one checkpoint chunk has run
         time.sleep(0.3)
@@ -108,7 +107,7 @@ def test_sigkill_mid_campaign_migrates_and_stays_byte_identical(tmp_path):
     takeovers = [r for r in journal.replay()
                  if r["op"] == "takeover"
                  and r.get("previous_node") == "victim"]
-    assert takeovers, "survivor never migrated the victim's batch"
+    assert takeovers, "survivor never migrated the victim's job"
     assert any(r["resource"] == batch for r in takeovers)
 
     # 3. byte-identity: aggregate == an undisturbed single-node run's
@@ -135,8 +134,7 @@ def test_stop_file_halts_nodes_at_safe_boundaries(tmp_path):
     from repro.cluster.local import fold_report
     jobs = make_jobs()
     cluster_dir = str(tmp_path / "cluster")
-    submit(cluster_dir, jobs, batches=2, checkpoint_every=EVERY,
-           max_retries=1)
+    submit(cluster_dir, jobs, checkpoint_every=EVERY, max_retries=1)
     deadline = time.time() + DRILL_TIMEOUT_S
     node = _spawn(cluster_dir, "n1")
     try:

@@ -234,23 +234,22 @@ _read_cluster_file = _rejects(ClusterError, lambda d: _read_sealed(
     os.path.join(d, "record.json"), "cluster file"))
 for _kind, _fields, _sample in (
         ("fence", {"token": tokens}, {"token": 12}),
-        ("manifest", {"version": names, "jobs": jobs, "batches": counts,
+        ("manifest", {"version": names, "jobs": jobs,
                       "checkpoint_every": counts, "max_retries": counts,
                       "fault_plan": st.none() | objects,
                       "deadline_at": st.none() | times,
                       "cache": st.booleans()},
-         {"version": "0.1.0", "jobs": [JOB.to_dict()], "batches": 1,
+         {"version": "0.1.0", "jobs": [JOB.to_dict()],
           "checkpoint_every": 500, "max_retries": 2, "fault_plan": None,
           "deadline_at": None, "cache": True}),
-        ("done", {"batch": names, "node": names, "token": tokens},
-         {"batch": "batch-0000", "node": "node-1", "token": 3}),
+        ("done", {"job": names, "node": names, "token": tokens},
+         {"job": JOB.digest, "node": "node-1", "token": 3}),
         ("final", {"node": names, "ok": counts, "quarantined": counts},
          {"node": "node-1", "ok": 4, "quarantined": 0}),
         ("node", {"node": names, "pid": counts, "ttl_s": times,
-                  "state": names, "updated_at": times, "jobs_done": counts,
-                  "batches_done": counts},
+                  "state": names, "updated_at": times, "jobs_done": counts},
          {"node": "node-1", "pid": 4242, "ttl_s": 5.0, "state": "working",
-          "updated_at": 1234.5, "jobs_done": 2, "batches_done": 1})):
+          "updated_at": 1234.5, "jobs_done": 2})):
     FORMATS[_kind] = Format(kind(_kind, **_fields), _cluster_write,
                             _read_cluster_file, {"kind": _kind, **_sample})
 

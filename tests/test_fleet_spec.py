@@ -1,9 +1,8 @@
-"""Fleet job specs: content hashing, matrix building, deterministic shards."""
+"""Fleet job specs: content hashing and matrix building."""
 
 import pytest
 
-from repro.fleet import (CampaignJob, assign_shards, build_matrix,
-                         job_digest)
+from repro.fleet import CampaignJob, build_matrix, job_digest
 from repro.fleet import spec as fleet_spec
 from repro.workloads import CustomerGenerator
 
@@ -69,29 +68,6 @@ def test_build_matrix_single_axis_keeps_plain_names():
     customers = CustomerGenerator(seed=42).generate(3)
     jobs = build_matrix(customers)
     assert [job.name for job in jobs] == [c.name for c in customers]
-
-
-def test_assign_shards_is_deterministic_and_complete():
-    customers = CustomerGenerator(seed=42).generate(12)
-    jobs = build_matrix(customers, cycle_budgets=(10_000,))
-    shards_a = assign_shards(jobs, 4)
-    shards_b = assign_shards(list(reversed(jobs)), 4)
-    # same partition no matter the input order
-    assert [[j.job_id for j in s] for s in shards_a] == \
-           [[j.job_id for j in s] for s in shards_b]
-    flat = [job.job_id for shard in shards_a for job in shard]
-    assert sorted(flat) == sorted(job.job_id for job in jobs)
-    # shard membership is independent of the other jobs present
-    solo = assign_shards(jobs[:1], 4)
-    assert solo[0][0].job_id in flat
-
-
-def test_assign_shards_bounds():
-    jobs = build_matrix(CustomerGenerator(seed=42).generate(3))
-    assert len(assign_shards(jobs, 1)) == 1
-    assert sum(len(s) for s in assign_shards(jobs, 64)) == 3
-    with pytest.raises(ValueError):
-        assign_shards(jobs, 0)
 
 
 def test_duplicate_labels_rejected():

@@ -6,6 +6,9 @@ retry with ``should_retry`` and count each record with
 executor: the same records, counts, simulated cycles and aggregate bytes.
 """
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.cluster import run_clustered, submit
@@ -124,3 +127,29 @@ def test_timeout_bounds_each_job_alone():
     assert hung["job"]["name"] == "hang"
     assert hung["attempts"] == 1
     assert "timeout" in hung["error"]
+
+
+def test_timeout_charges_only_the_job_that_ran_out_of_time():
+    """Jobs queued behind a hung worker are not charged for its hang: on
+    one worker, ``a`` hangs past ``timeout_s`` and is quarantined, while
+    ``b`` and ``c`` run again on a fresh pool and are ok at attempt 1."""
+    jobs = [job("a", "hang:3"), job("b"), job("c")]
+    report = run_campaign(jobs, workers=1, timeout_s=1.0, max_retries=0)
+    assert [(r["job"]["name"], r["status"], r["attempts"])
+            for r in report.records] == [
+        ("a", "quarantined", 1), ("b", "ok", 1), ("c", "ok", 1)]
+    assert "timeout" in report.quarantined[0]["error"]
+
+
+def test_a_timed_out_pool_leaves_no_worker_behind():
+    """The stuck pool's workers are ended, not left for the interpreter
+    to join at exit: a job that never returns cannot hold the process."""
+    before = set(multiprocessing.active_children())
+    report = run_campaign([job("a", "hang:15")], workers=1, timeout_s=1.0,
+                          max_retries=0)
+    assert [r["status"] for r in report.records] == ["quarantined"]
+    deadline = time.monotonic() + 5.0
+    while set(multiprocessing.active_children()) - before and \
+            time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not set(multiprocessing.active_children()) - before
