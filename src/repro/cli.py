@@ -400,6 +400,8 @@ def _campaign(args) -> int:
 
 def cmd_node(args) -> int:
     """Run one cluster worker node over a shared cluster directory."""
+    import gc
+
     from .cluster import ClusterNode
     from .errors import ClusterError
 
@@ -409,6 +411,9 @@ def cmd_node(args) -> int:
                                ttl_s=args.ttl, poll_s=args.poll)
         except ClusterError as exc:
             raise SystemExit(str(exc))
+        # the start-up heap lives as long as the process: freeze it, so
+        # the node's collection after each job skips it
+        gc.freeze()
         summary = node.run()
         print(f"node {summary['node']}: {summary['state']} — "
               f"{summary['jobs_done']} jobs, {summary['fenced']} fenced")
@@ -895,9 +900,12 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--resolution", type=int, default=256)
         cp.add_argument("--checkpoint-every", type=int, default=5_000,
                         metavar="CYCLES",
-                        help="mandatory checkpoint cadence: checkpoint "
-                             "boundaries are heartbeat points, and what "
-                             "migration resumes from (default 5000)")
+                        help="chunk size: a node checks STOP and the "
+                             "deadline every CYCLES cycles, and saves a "
+                             "checkpoint and renews its lease there once "
+                             "a third of the lease TTL has passed; keep "
+                             "a chunk's wall under two thirds of the TTL "
+                             "(default 5000)")
         cp.add_argument("--retries", type=int, default=2,
                         help="retry budget per failing job")
         cp.add_argument("--deadline", type=float, default=None,

@@ -84,9 +84,11 @@ class LeaseManager:
 
     ``ttl_s`` is the liveness contract: a holder must renew within it or
     its work becomes claimable.  It must comfortably exceed the longest
-    gap between heartbeats — for a fleet node that is one checkpoint
-    chunk's wall clock, which is why cluster manifests mandate
-    ``checkpoint_every``.  ``clock`` is injectable for the lease
+    gap between heartbeats.  A cluster node renews at the first chunk
+    boundary a third of the TTL after its last renewal, so that gap is
+    a third of the TTL plus one chunk's wall clock, and a chunk (the
+    manifest's mandatory ``checkpoint_every``) must stay under two
+    thirds of the TTL.  ``clock`` is injectable for the lease
     lifecycle tests; the journal (when given) receives one CRC-guarded
     line per lifecycle event, in :mod:`repro.resilience` journal format.
     """

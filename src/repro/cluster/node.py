@@ -10,10 +10,13 @@ peers purely through the shared cluster directory:
     job's lease.  Claiming over an expired lease is a *migration* — the
     node inherits the dead peer's checkpoint from the shared checkpoint
     directory and resumes mid-job, byte-identically.
-3.  **Execute**: the job runs through the ordinary fleet worker with
-    mandatory mid-run checkpoints; the checkpoint boundary doubles as
-    the **heartbeat** (the lease is renewed there), so the lease TTL
-    bounds the time a hung simulation can sit on a job.
+3.  **Execute**: the job runs through the ordinary fleet worker in
+    ``checkpoint_every``-cycle chunks.  Each chunk boundary checks the
+    ``STOP`` file and the deadline; it saves a checkpoint, and renews
+    the lease and **heartbeats**, only once a third of the lease TTL
+    has passed since the last save or renewal (the lease clock), and a
+    stop always saves first.  A hung simulation renews nothing, so the
+    lease TTL bounds the time it can sit on a job.
 4.  **Commit**: the record lands via the result store's fenced append;
     a node whose lease was claimed away raises
     :class:`~repro.errors.StaleLeaseError` *inside the store lock* and
@@ -30,6 +33,7 @@ of burning through the retry budget of every job in the plan.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import time
@@ -93,10 +97,15 @@ class ClusterNode:
         self.store = ResultStore(cluster_dir)
         self.cache = ResultCache(os.path.join(cluster_dir, CACHE_DIR)) \
             if self.manifest.get("cache") else None
+        # chunk boundaries every ``every`` cycles; a save only once a
+        # third of the TTL has passed, on the renewal clock's cadence
         self.checkpoint = {
             "dir": os.path.join(cluster_dir, CHECKPOINT_DIR),
             "every": int(self.manifest["checkpoint_every"]),
+            "every_s": self.leases.ttl_s / 3,
         }
+        # part of the shared layout even when no job ever saves
+        os.makedirs(self.checkpoint["dir"], exist_ok=True)
         self.deadline_at = self.manifest.get("deadline_at")
         # node-local breaker: generous defaults tuned for "this *node* is
         # sick" (bad mount, poisoned env), not for flaky individual jobs
@@ -149,14 +158,19 @@ class ClusterNode:
 
         With ``holder`` (a one-element list with the job's lease) it is
         also the heartbeat the fleet worker calls before every attempt
-        and at every checkpoint boundary: renew the lease and beat.  A
-        refused renewal means the job migrated — ``"fenced"`` at the
-        point where the checkpoint just written is exactly what the new
-        holder resumes from.
+        and at every chunk boundary: once a third of the TTL has passed
+        since the claim or the last renewal, renew the lease and beat.
+        Renewals are then at most a third of the TTL plus one chunk's
+        wall apart, so a chunk must stay under two thirds of the TTL.  A
+        refused renewal means the job migrated — ``"fenced"``; the new
+        holder resumes from the last checkpoint saved.
         """
         reason = campaign_stop(self.cluster_dir, self.deadline_at)
         if reason is not None or holder is None:
             return reason
+        ttl_s = self.leases.ttl_s
+        if self.clock() < holder[0].expires_at - 2 * ttl_s / 3:
+            return None
         renewed = self.leases.renew(holder[0])
         if renewed is None:
             return "fenced"
@@ -189,9 +203,9 @@ class ClusterNode:
         Raises :class:`~repro.errors.CampaignStopped` with the reason
         when ``should_stop`` returns one.  Retries stay *inside* the
         lease: each attempt is a one-job ``run_shard``, which consults
-        ``should_stop`` (renewing the lease) first, so a retry loop can
-        never outlive the node's claim.  :func:`should_retry` decides,
-        as in the pool runner.
+        ``should_stop`` (renewing the lease when a renewal is due)
+        first, so a retry loop can never outlive the node's claim.
+        :func:`should_retry` decides, as in the pool runner.
         """
         job = CampaignJob.from_dict(job_dict)
         wall_s = 0.0
@@ -289,6 +303,11 @@ class ClusterNode:
         self._beat("starting")
         self._emit("node.start", cluster_dir=self.cluster_dir,
                    ttl_s=self.leases.ttl_s)
+        # a finished job's device is a web of reference cycles: collect
+        # after each job, but only in a process that froze its start-up
+        # heap (``repro node``), never over the unfrozen heap of an
+        # in-process caller.  Read once: the count walks the frozen heap.
+        collect = gc.get_freeze_count() > 0
         state = NODE_DONE
         aggregate_path = None
         while True:
@@ -318,6 +337,8 @@ class ClusterNode:
                     break
             if claimed is not None:
                 outcome = self._run_job(claimed)
+                if collect:
+                    gc.collect()
                 if outcome in (NODE_STOPPED, NODE_DEADLINE):
                     state = outcome
                     break

@@ -26,7 +26,9 @@ the *newest* messages so that the next ones take their positions again,
 and a reset, which starts the stream over.  Job checkpoints rely on
 this: :func:`take_fifo` swaps the FIFO in a snapshot for its bounds plus
 the messages a job's message log lacks (:mod:`repro.checkpoint.msglog`),
-and :func:`put_fifo` puts the window back for a restore.
+and :func:`put_fifo` puts the window back for a restore.  A job save
+takes the same window from the live FIFO with
+:meth:`EmulationMemory.log_window`, which renders only those messages.
 
 Fault-injection sites (see :mod:`repro.faults`): ``emem.drop``,
 ``emem.overflow``, ``trace.corrupt``.
@@ -35,7 +37,9 @@ Fault-injection sites (see :mod:`repro.faults`): ``emem.drop``,
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..faults import injector as _fi
@@ -78,6 +82,7 @@ class EmulationMemory:
         #: side-band record of every lost span, oldest first
         self.gaps: List[Gap] = []
         self._open_gap: Optional[Gap] = None
+        self._fifo_out = False
 
     # -- calibration share ---------------------------------------------------
     def reserve_calibration(self, kb: int) -> None:
@@ -273,11 +278,12 @@ class EmulationMemory:
 
     # -- checkpoint ----------------------------------------------------------
     def snapshot_state(self) -> dict:
+        """Complete state as plain data; inside :meth:`fifo_left_out` the
+        FIFO is the one part left out."""
         open_gap = None
         if self._open_gap is not None:
             open_gap = self.gaps.index(self._open_gap)
-        return {
-            "fifo": [msg.to_dict() for msg in self._fifo],
+        state = {
             "head": self._head,
             "appended": self.appended,
             "stored_bits": self.stored_bits,
@@ -294,6 +300,28 @@ class EmulationMemory:
             "calibration_kb": self.calibration_kb,
             "capacity_bits": self.capacity_bits,
         }
+        if not self._fifo_out:
+            state["fifo"] = [msg.to_dict() for msg in self._fifo]
+        return state
+
+    @contextmanager
+    def fifo_left_out(self) -> Iterator[None]:
+        """Job checkpoints: :meth:`snapshot_state` leaves the FIFO out
+        within the block, and :meth:`log_window` renders the part of it a
+        job's message log lacks."""
+        self._fifo_out = True
+        try:
+            yield
+        finally:
+            self._fifo_out = False
+
+    def log_window(self, logged: int) -> Tuple[int, int, List[dict]]:
+        """:func:`take_fifo` on the live FIFO, rendering only ``entries``,
+        so a save's cost does not grow with the FIFO."""
+        new = min(self.appended - logged, len(self._fifo))
+        start = len(self._fifo) - new
+        return (self._head, self._head + start,
+                [msg.to_dict() for msg in islice(self._fifo, start, None)])
 
     def restore_state(self, state: dict) -> None:
         self._fifo = deque(TraceMessage.from_dict(entry)

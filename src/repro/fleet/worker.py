@@ -22,7 +22,7 @@ job the lane refuses or fails re-runs on the live plane, so the payload
 never depends on the backend.
 
 Stopping early is one contract: a ``should_stop()`` callable, consulted
-before each job and at every checkpoint or lane stride boundary,
+before each job and at every checkpoint chunk or lane stride boundary,
 returns ``None`` to go on or a reason to stop.  The reason becomes the
 outcome status as it is, and the shard ends there.  A campaign's
 ``should_stop`` is :func:`campaign_stop`: its directory's ``STOP`` file
@@ -48,7 +48,7 @@ from ..core.profiling.export import result_to_json  # noqa: F401
 from ..core.profiling.session import ProfilingSession
 from ..core.profiling import spec as pspec
 from ..durable import Canonical
-from ..ed.emem import put_fifo, take_fifo
+from ..ed.emem import put_fifo
 from ..errors import CampaignStopped, ConfigurationError, FaultInjected
 from ..faults import (FaultInjector, FaultPlan, SimulationWatchdog,
                       active_injector, fault_point)
@@ -151,10 +151,12 @@ def _save(path: str, device, spec: CampaignJob, log: MessageLog,
           saved: int, logged: int) -> None:
     """Checkpoint ``device`` at its cycle.  The body keeps the EMEM FIFO's
     bounds; ``log`` gets the messages the FIFO took since the save at
-    cycle ``saved``, when the FIFO had taken ``logged``."""
+    cycle ``saved``, when the FIFO had taken ``logged``.  Only those
+    messages are rendered, so a save's cost does not grow with the FIFO."""
     injector = active_injector()
-    sim = device.soc.sim.snapshot_state()
-    lo, start, messages = take_fifo(_fifo_state(sim), logged)
+    with device.emem.fifo_left_out():
+        sim = device.soc.sim.snapshot_state()
+    lo, start, messages = device.emem.log_window(logged)
     save_checkpoint(path, {
         "sim": sim,
         "injector": injector.snapshot_state()
@@ -206,31 +208,38 @@ def _try_restore(device, job: Dict, path: str) -> int:
 def _run_checkpointed(job: Dict, device, checkpoint: Dict,
                       stats: Dict, attempt: int = 0,
                       should_stop: Optional[StopCheck] = None) -> None:
-    """Run the job's cycle budget in checkpoint-sized chunks.
+    """Run the job's cycle budget in ``checkpoint["every"]``-cycle chunks.
 
-    After every full chunk an atomic checkpoint (simulator state plus
-    the fault injector's decision state) is written, then the
-    ``worker.crash`` site is evaluated at ``phase="checkpoint"`` so chaos
-    plans can kill the worker at the exact point a real crash would be
-    recovered from.  A retry finds the file and resumes mid-run — the
-    retry budget is measured in lost cycles, not lost jobs.
+    Each chunk ends at a boundary.  There an atomic checkpoint
+    (simulator state plus the fault injector's decision state) is
+    written when one is due, then ``should_stop`` is consulted.  A save
+    is due at every boundary, unless the checkpoint dict carries
+    ``"every_s"``: then only once that many seconds have passed since
+    the attempt started or last saved (a cluster node passes a third of
+    its lease TTL).  After each save the ``worker.crash`` site is
+    evaluated at ``phase="checkpoint"`` so chaos plans can kill the
+    worker at the exact point a real crash would be recovered from.  A
+    retry finds the file and resumes mid-run — the retry budget is
+    measured in lost cycles, not lost jobs.
 
-    The body keeps the EMEM FIFO as its bounds; each save appends only
-    the messages the FIFO took since the previous save to the job's
-    message log (:mod:`repro.checkpoint.msglog`), so a save costs the
-    same early and late in the job.  ``stats["bytes"]`` counts bodies
-    plus segments.
+    The body keeps the EMEM FIFO as its bounds; each save renders and
+    appends only the messages the FIFO took since the previous save to
+    the job's message log (:mod:`repro.checkpoint.msglog`), so a save's
+    cost does not grow with the job's progress.  ``stats["bytes"]``
+    counts bodies plus segments.
 
-    ``should_stop`` is consulted right after each checkpoint lands on
-    disk, the one point where stopping loses nothing: a returned reason
-    raises :class:`~repro.errors.CampaignStopped` and leaves the
-    checkpoint in place (completion is what discards it), so a later
-    resume continues from this exact cycle byte-identically.  The
-    checkpoint cadence bounds how far past a deadline a job overshoots.
+    A reason from ``should_stop`` raises
+    :class:`~repro.errors.CampaignStopped`.  A stop or deadline saves
+    first if this boundary did not, and leaves the checkpoint in place
+    (completion is what discards it), so a later resume continues from
+    this exact cycle byte-identically; ``"fenced"`` saves nothing, since
+    the job now belongs to another holder.  The chunk size bounds how
+    far past a deadline a job overshoots.
     """
     every = int(checkpoint["every"])
     if every < 1:
         raise ConfigurationError("checkpoint interval must be >= 1 cycle")
+    every_s = checkpoint.get("every_s")
     path = checkpoint_path(checkpoint["dir"], job)
     saved = stats["resumed_from_cycle"] = _try_restore(device, job, path)
     stats.setdefault("saves", 0)
@@ -242,12 +251,13 @@ def _run_checkpointed(job: Dict, device, checkpoint: Dict,
     body_bytes = 0
     target = int(job["cycles"])
     spec = CampaignJob.from_dict(job)
-    while device.cycle < target:
-        device.run(min(every, target - device.cycle))
-        if device.cycle >= target:
-            break
+    saved_at = time.monotonic()
+
+    def save() -> None:
+        nonlocal saved, logged, body_bytes, saved_at
         _save(path, device, spec, log, saved, logged)
         saved, logged = device.cycle, device.emem.appended
+        saved_at = time.monotonic()
         stats["saves"] += 1
         body_bytes += os.path.getsize(path)
         stats["bytes"] = body_bytes + log.appended_bytes
@@ -258,8 +268,18 @@ def _run_checkpointed(job: Dict, device, checkpoint: Dict,
             raise FaultInjected(
                 f"injected worker crash after checkpoint at cycle "
                 f"{device.cycle} in job {job['name']!r}")
+
+    while device.cycle < target:
+        device.run(min(every, target - device.cycle))
+        if device.cycle >= target:
+            break
+        due = every_s is None or time.monotonic() - saved_at >= every_s
+        if due:
+            save()
         reason = should_stop and should_stop()
         if reason:
+            if not due and reason in STOP_REASONS:
+                save()
             raise CampaignStopped(reason)
     _discard_checkpoints(path)
 
@@ -386,17 +406,20 @@ def execute_job(job: Dict, attempt: int = 0,
     so injection decisions are reproducible regardless of which worker or
     shard picked the job up.
 
-    ``checkpoint`` (``{"dir": str, "every": int}``) turns on periodic
-    mid-run checkpoints: the run is chunked every ``every`` cycles and a
-    retry of a crashed attempt resumes from the last intact checkpoint
-    instead of cycle 0.  ``stats`` (a caller-owned dict) receives the
-    non-deterministic checkpoint accounting — resumed cycle, save count,
-    bytes written — which must stay *out* of the payload to preserve its
-    byte-identity.
+    ``checkpoint`` (``{"dir": str, "every": int}``, optionally with
+    ``"every_s": float``) turns on periodic mid-run checkpoints: the run
+    is chunked every ``every`` cycles, a save lands at each chunk's end
+    (or, with ``every_s``, at the first one that many seconds after the
+    last), and a retry of a crashed attempt resumes from the last intact
+    checkpoint instead of cycle 0.  ``stats`` (a caller-owned dict)
+    receives the non-deterministic checkpoint accounting — resumed
+    cycle, save count, bytes written — which must stay *out* of the
+    payload to preserve its byte-identity.
 
-    ``should_stop`` is checked at every checkpoint boundary; a returned
-    reason raises :class:`~repro.errors.CampaignStopped` with the job's
-    checkpoint left on disk for a byte-identical resume.
+    ``should_stop`` is checked at every chunk boundary; a returned stop
+    or deadline raises :class:`~repro.errors.CampaignStopped` with the
+    job's checkpoint at that cycle left on disk for a byte-identical
+    resume.
 
     ``backend="batch"`` runs the job as one batch lane (see the module
     docstring), checking ``should_stop`` at every lane stride.  A fault

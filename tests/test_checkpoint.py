@@ -362,6 +362,33 @@ def test_checkpoint_files_are_named_by_the_job_digest(tmp_path,
         {"ckpt", "ckpt.prev", "msglog", "msglog.lock"}
 
 
+def test_job_saves_render_each_logged_message_once(tmp_path, monkeypatch):
+    """A save renders only what the job's message log lacks: across a
+    multi-save job ``TraceMessage.to_dict`` runs once per message the log
+    stores, not once per buffered message per save (which made a job's
+    total save cost grow with the square of its length)."""
+    from repro.checkpoint import MessageLog
+    from repro.fleet import worker
+    from repro.mcds.messages import TraceMessage
+    monkeypatch.setattr(worker, "_discard_checkpoints", lambda path: None)
+    rendered = []
+    to_dict = TraceMessage.to_dict
+
+    def counting_to_dict(self):
+        rendered.append(self.cycle)
+        return to_dict(self)
+    monkeypatch.setattr(TraceMessage, "to_dict", counting_to_dict)
+    job = JOBS[0].to_dict()
+    stats = {}
+    execute_job(job, checkpoint={"dir": str(tmp_path), "every": 5_000},
+                stats=stats)
+    segments = MessageLog(message_log_path(
+        checkpoint_path(str(tmp_path), job))).segments()
+    assert stats["saves"] == len(segments) == 8
+    assert len(rendered) == sum(len(segment["messages"])
+                                for segment in segments)
+
+
 # -- satellite: crash-consistent JSONL result store --------------------------
 
 def _records(n, start=0):

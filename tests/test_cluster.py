@@ -3,10 +3,12 @@
 Covers the coordinator artifacts (manifest validation, the job plan
 every node computes, one lease per job, deduped finalization), the
 node's and the local runner's refusals (another release's manifest, a
-campaign every node left unfinished, a negative node count), the
-multi-writer hardening of the result store (advisory lock + two
-*processes* appending concurrently) and the content-addressed cache
-(atomic writes, digest / CRC re-verification, quarantine-on-damage),
+campaign every node left unfinished, a negative node count), the lease
+clock (a node saves and renews only once a third of the TTL has passed,
+and a stop saves first; the pool's explicit cadence saves at every
+boundary), the multi-writer hardening of the result store (advisory
+lock + two *processes* appending concurrently) and the content-addressed
+cache (atomic writes, digest / CRC re-verification, quarantine-on-damage),
 and the flagship property: an in-process cluster run produces an
 ``aggregate.json`` byte-identical to a plain single-node campaign.
 (Node *death* is exercised by the subprocess drill in
@@ -18,21 +20,27 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+import types
 
 import pytest
 
 from repro import __version__
+from repro.checkpoint import load_latest_checkpoint
 from repro.cli import main
 from repro.cluster import (ClusterNode, cluster_status, dedupe_records,
                            job_plan, local, request_stop, run_clustered,
                            submit)
+from repro.cluster import node as node_module
 from repro.cluster.coordinator import CLUSTER_JOURNAL_NAME, load_manifest
+from repro.cluster.lease import LeaseManager
 from repro.durable import file_lock, seal_record, unseal_record
 from repro.errors import ClusterError, ConfigurationError
+from repro.fleet import worker
 from repro.fleet.api import run_campaign
 from repro.fleet.cache import QUARANTINE_SUFFIX, ResultCache
 from repro.fleet.spec import CampaignJob
-from repro.fleet.store import ResultStore
+from repro.fleet.store import ResultStore, clear_stop
 from repro.resilience.journal import AdmissionJournal
 
 CYCLES = 2_000
@@ -365,14 +373,43 @@ class _OpenBreaker:
         return 1.0
 
 
-def _claimed_job(tmp_path, deadline_s=None):
+def _claimed_job(tmp_path, deadline_s=None, clock=time.time):
     """A node holding the lease on the first job of a 2-job campaign."""
     cdir = str(tmp_path)
     submit(cdir, make_jobs(2), checkpoint_every=EVERY,
            deadline_s=deadline_s)
-    node = ClusterNode(cdir, node_id="n1")
+    node = ClusterNode(cdir, node_id="n1", clock=clock)
     lease = node.leases.claim(next(iter(node.jobs)))
     return node, lease
+
+
+def _ticking(step_s):
+    """A clock that moves ``step_s`` forward at every reading (0: frozen)."""
+    now = [1_000.0]
+
+    def clock():
+        now[0] += step_s
+        return now[0]
+    return clock
+
+
+def _worker_clock(monkeypatch, clock):
+    """Drive the fleet worker's save timer (its ``time.monotonic``)."""
+    fake = types.SimpleNamespace(**vars(time))
+    fake.monotonic = clock
+    monkeypatch.setattr(worker, "time", fake)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``; returns the (growing) list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def test_run_job_stop_file_reports_stopped_and_releases(tmp_path):
@@ -390,11 +427,91 @@ def test_run_job_passed_deadline_reports_deadline(tmp_path):
 
 
 def test_run_job_refused_renewal_reports_fenced(tmp_path, monkeypatch):
-    node, lease = _claimed_job(tmp_path)
+    # a clock that passes a third of the TTL at each reading: the check
+    # before the attempt is already due to renew
+    node, lease = _claimed_job(tmp_path, clock=_ticking(10.0))
     monkeypatch.setattr(node.leases, "renew", lambda held: None)
     assert node._run_job(lease) == "fenced"
     assert node.fenced == 1
     assert node.jobs_done == 0
+
+
+def test_job_saves_and_renews_on_the_lease_clock(tmp_path, monkeypatch):
+    """A node's job reaches a boundary every ``checkpoint_every`` cycles
+    and checks the campaign's STOP file there, but saves and renews only
+    once a third of the TTL (10 s here) has passed: never while both
+    clocks stand still, at every boundary once each reading passes it."""
+    saves = _count_calls(monkeypatch, worker, "_save")
+    renewals = _count_calls(monkeypatch, LeaseManager, "renew")
+    checks = _count_calls(monkeypatch, node_module, "campaign_stop")
+    _worker_clock(monkeypatch, _ticking(0.0))
+    node, lease = _claimed_job(tmp_path / "frozen", clock=_ticking(0.0))
+    assert node._run_job(lease) == "done"
+    # CYCLES / EVERY = 4 chunks: a check before the attempt and at each
+    # of the 3 boundaries
+    assert (len(checks), len(saves), len(renewals)) == (4, 0, 0)
+
+    del checks[:], saves[:], renewals[:]
+    _worker_clock(monkeypatch, _ticking(10.0))
+    node, lease = _claimed_job(tmp_path / "ticking", clock=_ticking(10.0))
+    assert node._run_job(lease) == "done"
+    assert (len(checks), len(saves), len(renewals)) == (4, 3, 4)
+    assert node.leases.read(lease.resource) is None    # released
+
+
+def test_stop_before_the_first_save_saves_there_and_resumes(
+        tmp_path, monkeypatch):
+    """A STOP seen at a boundary that saved nothing saves first, so the
+    checkpoint holds that exact cycle, and a resumed campaign finishes
+    with the aggregate bytes of an undisturbed run."""
+    cdir = str(tmp_path / "cluster")
+    checks = []
+
+    def stop_at_second_boundary(directory, deadline):
+        checks.append(directory)
+        if len(checks) == 3:           # before the attempt, 500, 1000
+            request_stop(directory)
+        return worker.campaign_stop(directory, deadline)
+
+    _worker_clock(monkeypatch, _ticking(0.0))
+    monkeypatch.setattr(node_module, "campaign_stop",
+                        stop_at_second_boundary)
+    node, lease = _claimed_job(cdir, clock=_ticking(0.0))
+    assert node._run_job(lease) == "stopped"
+    monkeypatch.setattr(node_module, "campaign_stop", worker.campaign_stop)
+    path = worker.checkpoint_path(os.path.join(cdir, "checkpoints"),
+                                  node.jobs[lease.resource])
+    _, meta, _ = load_latest_checkpoint(path)
+    assert meta["cycle"] == 2 * EVERY
+    clear_stop(cdir)
+
+    restores = []
+    restore = worker._try_restore
+
+    def recording_restore(*args):
+        restores.append(restore(*args))
+        return restores[-1]
+    monkeypatch.setattr(worker, "_try_restore", recording_restore)
+    summary = ClusterNode(cdir, node_id="n2", clock=_ticking(0.0)).run()
+    assert summary["state"] == "done"
+    assert [cycle for cycle in restores if cycle] == [2 * EVERY]
+    ref = run_campaign(make_jobs(2), workers=0,
+                       campaign_dir=str(tmp_path / "single"))
+    with open(ref.aggregate_path, "rb") as a, \
+            open(summary["aggregate_path"], "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_pool_checkpoint_every_saves_at_every_boundary(tmp_path,
+                                                      monkeypatch):
+    """An explicit ``checkpoint_every`` on the pool (E14, ``repro
+    serve``) carries no lease clock: each of the 3 boundaries of each
+    job saves, however little time passed."""
+    _worker_clock(monkeypatch, _ticking(0.0))
+    report = run_campaign(make_jobs(2), workers=0,
+                          campaign_dir=str(tmp_path),
+                          checkpoint_every=EVERY)
+    assert report.metrics.checkpoint_saves == 2 * (CYCLES // EVERY - 1)
 
 
 def test_open_breaker_node_reports_the_real_stop_reason(tmp_path):
