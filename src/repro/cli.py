@@ -228,12 +228,37 @@ def _profile_kernel(args, tel) -> int:
     if naive_oracle != quiesc_oracle:
         print("\nERROR: oracle totals diverged between kernels")
         return 1
+    # nothing subscribes to a bare run's signals, so its totals cannot show
+    # a window closed on the wrong tick: compare a profiled run's plane too
+    naive_plane, quiesc_plane = (
+        _profiled_plane(scenario, args, params, mode)
+        for mode in ("naive", "quiescent"))
+    if naive_plane != quiesc_plane:
+        print("\nERROR: EMEM streams or counter snapshots diverged "
+              "between kernels")
+        return 1
     speedup = (quiesc_stats["cycles_per_sec"] /
                max(1e-9, naive_stats["cycles_per_sec"]))
     print(f"\noracle totals identical across kernels "
           f"({sum(naive_oracle)} events)")
+    print(f"EMEM streams and counter snapshots identical across kernels "
+          f"({len(naive_plane[0])} messages)")
     print(f"quiescent speedup: {speedup:.2f}x")
     return 0
+
+
+def _profiled_plane(scenario, args, params, mode):
+    """EMEM stream and MCDS snapshot of one run with the engine
+    parameter set, under kernel ``mode``."""
+    from .core.profiling import ProfilingSession, spec
+    from .soc.kernel import kernel_mode
+    with kernel_mode(mode):
+        device = scenario.build(_config(args.device), dict(params),
+                                seed=args.seed)
+    ProfilingSession(device, spec.engine_parameter_set())
+    device.run(args.cycles)
+    return ([msg.to_dict() for msg in device.emem.contents()],
+            device.mcds.snapshot_state())
 
 
 def cmd_checkpoint(args) -> int:

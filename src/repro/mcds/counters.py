@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional
 from ..errors import ConfigurationError, CounterSaturationError
 from ..faults import injector as _fi
 from ..faults.injector import fault_point
-from ..soc.kernel.hub import EventHub
+from ..soc.kernel.hub import EventHub, unbounded
 
 #: pseudo basis meaning "per clock cycle" (IPC-style measurement)
 CYCLES = "cycles"
@@ -55,8 +55,11 @@ class _BasisGroup:
     are brought up to date by :meth:`sync` when that window closes, and
     before anything reads or changes a member's window, so every sample
     and every ``basis_count`` equals what per-structure counting gives.
-    The group is found through the hub's subscriber list, so it lives
-    exactly as long as the device that owns the hub.
+    Its hub horizon is ``left - pending``: any smaller sum closes no
+    window, so a producer may publish the basis once per window instead
+    of once per emission.  The group is found through the hub's
+    subscriber list, so it lives exactly as long as the device that owns
+    the hub.
     """
 
     def __init__(self, hub: EventHub, basis: str) -> None:
@@ -79,7 +82,7 @@ class _BasisGroup:
             group = cls(hub, basis)
         # (re)subscribed last: a member whose events include its basis
         # signal counts the current emission before its window closes
-        hub.subscribe(basis, group.on_basis)
+        hub.subscribe(basis, group.on_basis, group.horizon)
         group.members.append(structure)
         group.sync()
         return group
@@ -89,6 +92,9 @@ class _BasisGroup:
         self.members.remove(structure)
         if not self.members:
             self.hub.unsubscribe(self.basis, self.on_basis)
+
+    def horizon(self) -> int:
+        return self.left - self.pending
 
     def on_basis(self, count: int) -> None:
         pending = self.pending + count
@@ -154,8 +160,14 @@ class RateCounterStructure:
         #: sink receiving ``(cycle, structure, value)`` on every sample
         self.sink: Optional[Callable[[int, "RateCounterStructure", int], None]] = None
 
+        # a sole event's counts can arrive late, up to the next overflow,
+        # when that event or the MCDS clock closes the window; another
+        # event or basis signal could close it, and read event_count,
+        # while counts are held
+        horizon = self._horizon if len(self.events) == 1 \
+            and basis in (CYCLES, self.events[0]) else None
         for event in self.events:
-            hub.subscribe(event, self._on_event)
+            hub.subscribe(event, self._on_event, horizon)
         self._group = None if basis == CYCLES else _BasisGroup.join(self)
 
     @property
@@ -186,6 +198,10 @@ class RateCounterStructure:
                 raise CounterSaturationError(
                     f"counter {self.name!r} overflowed its {self.width}-bit "
                     f"range within one resolution window")
+
+    def _horizon(self) -> int:
+        # the first sum that overflows must arrive on the tick it does
+        return self._max - self.event_count + 1
 
     def on_cycle(self, cycle: int) -> None:
         """Called by the MCDS once per cycle; drives cycle-basis structures."""
@@ -297,7 +313,7 @@ class RawCounter:
         self.events = tuple(events)
         self.value = 0
         for event in self.events:
-            hub.subscribe(event, self._on_event)
+            hub.subscribe(event, self._on_event, unbounded)
 
     def _on_event(self, count: int) -> None:
         self.value += count

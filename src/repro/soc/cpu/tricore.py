@@ -69,6 +69,10 @@ class TriCoreCpu(Component):
 
         self.retired = 0
         self.halt_cycles = 0
+        #: retired instructions not yet published on TC_INSTR, or None
+        #: outside a single-owner span whose hub horizon allows holding
+        self._held: Optional[int] = None
+        self._horizon = 0
 
         # cfg-derived latencies, folded once (configs are frozen after
         # build); the ICU's pending cell is shared in-place, so one list
@@ -189,6 +193,23 @@ class TriCoreCpu(Component):
         if self.halted and not self.debug_halt \
                 and self.current_priority == 0 and self.stall_until <= start:
             self.halt_cycles += stop - start
+
+    # -- publication held across a single-owner span ---------------------------
+    def begin_span(self) -> None:
+        # every TC_INSTR subscriber bounds how late it can take its counts:
+        # sum retired instructions and publish where the sum reaches that
+        # bound, not every tick
+        horizon = self.hub.horizon(self._sid_instr)
+        if horizon:
+            self._held = 0
+            self._horizon = horizon
+
+    def end_span(self) -> None:
+        held = self._held
+        if held is not None:
+            self._held = None
+            if held:
+                self.hub.emit(self._sid_instr, held)
 
     # -- main clock tick ----------------------------------------------------------
     def tick(self, cycle: int):
@@ -362,7 +383,19 @@ class TriCoreCpu(Component):
         self.pc = pc
         if issued:
             self.retired += issued
-            emit(sid_instr, issued)
+            held = self._held
+            if held is None:
+                emit(sid_instr, issued)
+            else:
+                held += issued
+                if held < self._horizon:
+                    self._held = held
+                else:
+                    # the held sum reaches a subscriber's horizon this
+                    # tick (a window closes, a counter overflows): publish
+                    self._held = 0
+                    emit(sid_instr, held)
+                    self._horizon = self.hub.horizon(sid_instr)
             if self.trace is not None:
                 self.trace.on_cycle(cycle, start_pc, issued)
         # inline idle bid, mirroring idle_until for the common end-of-tick

@@ -7,14 +7,42 @@ and observers (MCDS counters, oracle totals) receive them in the same cycle.
 
 Emission is deliberately cheap — integer-indexed list lookups, no string
 keys, no allocation, and subscriber dispatch skipped entirely when nothing
-listens — because the CPU emits several signals per simulated cycle.
-Hub-heavy tick methods additionally cache ``hub.emit`` in a local before
-their issue loops, saving the attribute walk per emission.
+listens — because branches, stalls and memory accesses still emit on a
+large share of simulated cycles.  Hub-heavy tick methods additionally
+cache ``hub.emit`` in a local before their issue loops, saving the
+attribute walk per emission.  The most frequent signal, the TriCore's
+retired-instruction count, is published once per window instead of once
+per tick wherever the deferral contract below allows.
+
+Deferral contract
+-----------------
+
+The hardware counts in silicon and costs something only when a window
+closes; a subscriber that only adds counts up between such points can say
+so.  ``subscribe(name, callback, horizon)`` takes an optional zero-argument
+``horizon`` callable: the subscriber promises that any sum of fewer than
+``horizon()`` units delivered late, in one call, leaves it in the state the
+per-emission calls would have.  A sum that reaches the horizon may change
+what the subscriber does (close a window, saturate), so it must be
+published in the very emission that reaches it.  :meth:`EventHub.horizon`
+is the minimum over a signal's subscribers, :data:`UNBOUNDED` when nobody
+listens, and 0 — publish every emission — while any subscriber declares no
+horizon.  A producer may hold a signal's counts only while nothing else
+runs, and publishes them before anything else can observe the subscribers
+(the kernel's fused single-owner span; see ``Component.begin_span``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
+
+#: horizon of a signal no subscriber bounds: any sum may be held
+UNBOUNDED = 2 ** 63
+
+
+def unbounded() -> int:
+    """Horizon of a subscriber that only adds counts up."""
+    return UNBOUNDED
 
 
 class EventHub:
@@ -32,6 +60,12 @@ class EventHub:
         self._ids: Dict[str, int] = {}
         self._names: List[str] = []
         self._subs: List[List[Callable[[int], None]]] = []
+        #: per signal, the horizon each subscriber declared (None: none),
+        #: in dispatch order
+        self._declared: List[List[Optional[Callable[[], int]]]] = []
+        #: per signal, its subscribers' horizons, or None while one of them
+        #: declares none: refreshed on (un)subscribe, read per span
+        self._horizons: List[Optional[tuple]] = []
         self.totals: List[int] = []
 
     # -- registration --------------------------------------------------------
@@ -43,6 +77,8 @@ class EventHub:
             self._ids[name] = sid
             self._names.append(name)
             self._subs.append([])
+            self._declared.append([])
+            self._horizons.append(())
             self.totals.append(0)
         return sid
 
@@ -66,16 +102,41 @@ class EventHub:
         return tuple(self._names)
 
     # -- wiring ---------------------------------------------------------------
-    def subscribe(self, name: str, callback: Callable[[int], None]) -> None:
-        """Attach ``callback(count)`` to a signal; called on every emission."""
-        self._subs[self.register(name)].append(callback)
+    def subscribe(self, name: str, callback: Callable[[int], None],
+                  horizon: Optional[Callable[[], int]] = None) -> None:
+        """Attach ``callback(count)`` to a signal; called on every emission.
+
+        ``horizon``, if given, declares how late the callback can take its
+        counts (see the module's deferral contract).
+        """
+        sid = self.register(name)
+        self._subs[sid].append(callback)
+        self._declared[sid].append(horizon)
+        self._refresh(sid)
 
     def unsubscribe(self, name: str, callback: Callable[[int], None]) -> None:
-        self._subs[self.signal_id(name)].remove(callback)
+        sid = self.signal_id(name)
+        index = self._subs[sid].index(callback)
+        del self._subs[sid][index]
+        del self._declared[sid][index]
+        self._refresh(sid)
+
+    def _refresh(self, sid: int) -> None:
+        declared = self._declared[sid]
+        self._horizons[sid] = None if None in declared else tuple(declared)
 
     def subscribers(self, name: str) -> tuple:
         """The callbacks attached to a signal, in dispatch order."""
         return tuple(self._subs[self.register(name)])
+
+    def horizon(self, sid: int) -> int:
+        """Fewest units of ``sid`` that must be published in the emission
+        that reaches them: 0 while a subscriber declares no horizon,
+        :data:`UNBOUNDED` when no subscriber bounds it."""
+        marks = self._horizons[sid]
+        if marks is None:
+            return 0
+        return min((mark() for mark in marks), default=UNBOUNDED)
 
     # -- hot path --------------------------------------------------------------
     def emit(self, sid: int, count: int = 1) -> None:

@@ -155,6 +155,22 @@ class Component:
         ``halt_cycles``).
         """
 
+    def begin_span(self) -> None:
+        """The quiescent kernel made this component the clock's sole owner.
+
+        Until the matching :meth:`end_span` nothing else ticks, so the
+        component may hold back hub emissions whose subscribers declared a
+        horizon (see :mod:`~repro.soc.kernel.hub`), publishing each sum in
+        the tick that reaches ``hub.horizon()``.
+        """
+
+    def end_span(self) -> None:
+        """Publish every count held since :meth:`begin_span`.
+
+        Called before any other component ticks again, and before a step
+        returns, so nothing is ever pending outside the span.
+        """
+
     def observable_state(self) -> int:
         """Cheap scalar fingerprint of externally visible state.
 
@@ -495,18 +511,22 @@ class Simulator:
                 # owns the clock, so the per-cycle cost collapses to the
                 # tick and its idle bid.  The loop runs until the next
                 # heap wake is due, a mid-tick wake grows the hot set, or
-                # the owner goes properly to sleep.  A short nap that
-                # would end before anyone else is due never touches the
-                # heap at all: the clock jumps in place and the skip is
-                # credited immediately, exactly as a wake would have.
+                # the owner goes properly to sleep; until then the owner
+                # may hold its hub publications (begin_span / end_span).
+                # A short nap that would end before anyone else is due
+                # never touches the heap at all: the clock jumps in place
+                # and the skip is credited immediately, exactly as a wake
+                # would have.
                 slot = hot[0]
                 tick = slot.tick
                 idle = slot.idle if slot.has_idle else None
+                owner = slot.comp
                 span_end = target
                 if heap and heap[0][0] < span_end:
                     span_end = heap[0][0]
                 self._tick_pos = 0
                 self._in_cycle = True
+                owner.begin_span()
                 try:
                     # self.cycle is written once on exit (see finally):
                     # nothing observes it mid-advance — components get the
@@ -517,10 +537,11 @@ class Simulator:
                         self._now = c
                         wake_at = tick(c)
                         if len(hot) != 1:
-                            # a mid-tick wake joined this cycle: place
-                            # the owner's own sleep bid, finish the
-                            # cycle in registration order, and rejoin
-                            # the outer loop
+                            # a mid-tick wake joined this cycle: publish
+                            # what the owner holds, place its own sleep
+                            # bid, finish the cycle in registration
+                            # order, and rejoin the outer loop
+                            owner.end_span()
                             pos = self._tick_pos
                             if wake_at is None and idle is not None:
                                 wake_at = idle(c + 1)
@@ -558,6 +579,7 @@ class Simulator:
                             break
                         c += 1
                 finally:
+                    owner.end_span()
                     self._in_cycle = False
                     self.cycle = c
                 continue

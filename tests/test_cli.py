@@ -278,6 +278,19 @@ def test_profile_kernel_top_table(capsys):
     assert out.count("  1 tricore") == 2
 
 
+def test_profile_kernel_checks_the_measurement_plane(capsys, monkeypatch):
+    # a window horizon one unit too far closes instruction-basis windows a
+    # tick late on the quiescent kernel only: a bare run's oracle totals
+    # cannot see that, the profiled run's EMEM stream does
+    from repro.mcds.counters import _BasisGroup
+    monkeypatch.setattr(_BasisGroup, "horizon",
+                        lambda group: group.left - group.pending + 1)
+    code, out = run_cli(capsys, "profile-kernel", "--cycles", "20000")
+    assert code == 1
+    assert "oracle totals diverged" not in out
+    assert "EMEM streams or counter snapshots diverged" in out
+
+
 def test_catalog_prints_document(capsys):
     code, out = run_cli(capsys, "catalog")
     assert code == 0

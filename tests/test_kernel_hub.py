@@ -1,8 +1,8 @@
-"""EventHub: registration, fan-out, oracle totals."""
+"""EventHub: registration, fan-out, oracle totals, deferral horizons."""
 
 import pytest
 
-from repro.soc.kernel.hub import EventHub
+from repro.soc.kernel.hub import UNBOUNDED, EventHub, unbounded
 
 
 def test_register_returns_stable_ids():
@@ -113,3 +113,36 @@ def test_unsubscribe_restores_subscriber_free_fast_path():
     hub.emit(sid)
     assert seen == [1]
     assert hub.totals[sid] == 2
+
+
+# -- deferral contract ---------------------------------------------------------
+def test_horizon_unbounded_without_subscribers():
+    hub = EventHub()
+    sid = hub.register("x")
+    assert hub.horizon(sid) == UNBOUNDED
+    hub.subscribe("x", [].append, unbounded)
+    assert hub.horizon(sid) == UNBOUNDED
+
+
+def test_horizon_is_least_over_subscribers():
+    hub = EventHub()
+    sid = hub.register("x")
+    near, far = [5], [9]
+    hub.subscribe("x", [].append, lambda: far[0])
+    hub.subscribe("x", [].append, lambda: near[0])
+    assert hub.horizon(sid) == 5
+    near[0] = 12                  # asked afresh on every call
+    assert hub.horizon(sid) == 9
+
+
+def test_one_subscriber_without_horizon_disables_deferral():
+    hub = EventHub()
+    sid = hub.register("x")
+    bounded, plain = [].append, [].append
+    hub.subscribe("x", bounded, lambda: 7)
+    hub.subscribe("x", plain)
+    assert hub.horizon(sid) == 0
+    hub.unsubscribe("x", plain)
+    assert hub.horizon(sid) == 7
+    hub.unsubscribe("x", bounded)
+    assert hub.horizon(sid) == UNBOUNDED

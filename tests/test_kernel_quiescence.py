@@ -20,7 +20,8 @@ from repro.soc.kernel.kprof import (KernelProfiler, format_kernel_stats,
                                     format_top_components)
 from repro.soc.kernel.simulator import (FOREVER, Component, Simulator,
                                         set_default_kernel)
-from repro.workloads import EngineControlScenario, RtosScenario
+from repro.workloads import (BodyGatewayScenario, EngineControlScenario,
+                             RtosScenario, TransmissionScenario)
 
 CYCLES = 30_000
 
@@ -96,10 +97,22 @@ def emem_stream(device):
             for m in device.emem.contents()]
 
 
+class _TracedEngine(EngineControlScenario):
+    """Engine control with a program-trace unit on the TriCore."""
+
+    def build(self, *args, **kwargs):
+        device = super().build(*args, **kwargs)
+        device.mcds.add_program_trace()
+        return device
+
+
 @pytest.mark.parametrize("ipc_resolution,rate_per", [(256, 100), (32, 1)])
 @pytest.mark.parametrize("scenario,params", [
     (EngineControlScenario, {}),
     (RtosScenario, {"idle_halt": True}),
+    (TransmissionScenario, {}),
+    (BodyGatewayScenario, {}),
+    (_TracedEngine, {}),
 ])
 def test_profiled_kernels_match_naive(scenario, params, ipc_resolution,
                                       rate_per):
