@@ -20,6 +20,7 @@ silently reported as a trustworthy rate.
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...ed.device import EmulationDevice
@@ -106,7 +107,8 @@ def decode_rate_stream(stream, series: Dict[str, "SeriesData"],
     """Decode rate-sample messages into ``series``, marking degradation.
 
     Shared by the post-mortem and streaming sessions so both apply the
-    same gap/taint semantics.
+    same gap/taint semantics.  A fine grid decodes one sample per closed
+    window, so each appends straight to its series' three lists.
     """
     spans = msgs.merge_gap_spans(list(gaps)) if gaps else []
     prev: Dict[str, int] = {}
@@ -116,12 +118,16 @@ def decode_rate_stream(stream, series: Dict[str, "SeriesData"],
         data = series.get(msg.source)
         if data is None:
             continue
+        cycle = msg.cycle
         degraded = bool(msg.extra and msg.extra.get("tainted"))
-        if spans and not degraded:
-            degraded = _window_overlaps(spans, prev.get(msg.source, -1),
-                                        msg.cycle)
-        prev[msg.source] = msg.cycle
-        data.append(msg.cycle, msg.value, degraded)
+        if spans:
+            if not degraded:
+                degraded = _window_overlaps(spans, prev.get(msg.source, -1),
+                                            cycle)
+            prev[msg.source] = cycle
+        data._cycles.append(cycle)
+        data._values.append(msg.value)
+        data._degraded.append(degraded)
 
 
 class ProfileResult:
@@ -219,9 +225,9 @@ class ProfilingSession:
     def _result(self) -> ProfileResult:
         device = self.device
         series = {spec.name: SeriesData(spec) for spec in self.specs}
-        stream = list(device.dap.received) + device.emem.contents()
         gaps = device.trace_gaps()
-        decode_rate_stream(stream, series, gaps)
+        decode_rate_stream(chain(device.dap.received,
+                                 device.emem.iter_contents()), series, gaps)
         lost = (device.emem.dropped_messages + device.dap.dropped_messages)
         return ProfileResult(
             series,

@@ -16,6 +16,7 @@ the buffer fills — by scaling all windows by powers of two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional
 
 from ...ed.device import EmulationDevice
@@ -100,9 +101,10 @@ class StreamingSession:
     def result(self) -> ProfileResult:
         """Decode everything received so far plus the in-flight buffer."""
         series = {spec.name: SeriesData(spec) for spec in self.specs}
-        stream = list(self.device.dap.received) + self.device.emem.contents()
         gaps = self.device.trace_gaps()
-        decode_rate_stream(stream, series, gaps)
+        decode_rate_stream(chain(self.device.dap.received,
+                                 self.device.emem.iter_contents()),
+                           series, gaps)
         stats = self.stats()
         return ProfileResult(
             series, stats.cycles,

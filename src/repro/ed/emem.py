@@ -147,7 +147,8 @@ class EmulationMemory:
         self._fifo.append(msg)
         self.appended += 1
         self.stored_bits += msg.bits
-        if not self._evict_to_capacity():
+        if self.stored_bits <= self.capacity_bits or \
+                not self._evict_to_capacity():
             self._open_gap = None         # a clean store closes any gap
         if self._post_trigger_bits is not None:
             self._post_trigger_bits -= msg.bits
@@ -209,6 +210,11 @@ class EmulationMemory:
     def contents(self) -> List[TraceMessage]:
         """Snapshot of buffered messages, oldest first (post-mortem upload)."""
         return list(self._fifo)
+
+    def iter_contents(self) -> Iterator[TraceMessage]:
+        """The buffered messages, oldest first, without a copy: for a
+        reader (the decoder) that is done before the next store."""
+        return iter(self._fifo)
 
     def gap_messages(self) -> List[TraceMessage]:
         """The lost spans as in-stream overflow-style messages."""

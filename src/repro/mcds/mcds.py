@@ -16,7 +16,7 @@ from ..errors import ConfigurationError, ResourceExhaustedError
 from ..soc.device import Soc
 from ..soc.kernel.simulator import FOREVER, Component
 from . import counters as counters_mod
-from .messages import MessageFactory, TraceMessage
+from .messages import RATE_SAMPLE, MessageFactory, TraceMessage
 from .trace import BusTraceUnit, DataTraceUnit, ProgramTraceUnit, TraceFanout
 from .trigger import Trigger, TriggerStateMachine
 
@@ -89,12 +89,20 @@ class Mcds(Component):
             self._cycle_basis.remove(structure)
 
     def _on_rate_sample(self, cycle: int, structure, value: int) -> None:
+        # every closed window comes through here, so this books the totals
+        # itself and hands the message straight to the sink; every other
+        # kind goes through deliver()
         msg = self.factory.rate_sample(cycle, structure.name, value)
         if structure.last_sample_tainted is not None:
             # the counter overflowed (or a drill wrapped it) inside this
             # window: the value is untrustworthy, flag it for the decoder
             msg.extra = {"tainted": structure.last_sample_tainted}
-        self.deliver(msg)
+        counts = self.messages_by_kind
+        counts[RATE_SAMPLE] = counts.get(RATE_SAMPLE, 0) + 1
+        bits = self.bits_by_kind
+        bits[RATE_SAMPLE] = bits.get(RATE_SAMPLE, 0) + msg.bits
+        if self.sink is not None:
+            self.sink(msg)
 
     def add_raw_counter(self, name: str, events) -> counters_mod.RawCounter:
         counter = counters_mod.RawCounter(name, self.hub, events)

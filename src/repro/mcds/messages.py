@@ -14,7 +14,7 @@ variable-length timestamp delta.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 # message kinds
@@ -42,17 +42,66 @@ def _varlen_bits(value: int, chunk: int = 8) -> int:
     return groups * chunk
 
 
-@dataclass
-class TraceMessage:
-    """One encoded trace message."""
+class _EmptyExtra(dict):
+    """The one empty ``extra`` that every message without extras shares.
 
-    kind: str
-    cycle: int
-    bits: int
-    source: str = ""
-    value: int = 0
-    address: Optional[int] = None
-    extra: dict = field(default_factory=dict)
+    Read-only, so no message can grow another's extras; it pickles and
+    deep-copies as itself."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the shared empty extra is read-only: assign a "
+                        "new dict to the message's extra instead")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return "NO_EXTRA"
+
+
+NO_EXTRA = _EmptyExtra()
+
+
+class TraceMessage:
+    """One encoded trace message.
+
+    A slotted class, not a dataclass: a fine grid stores one per closed
+    counter window, so each costs no ``__dict__``.  A message without
+    extras shares the read-only :data:`NO_EXTRA`; its writers (a
+    corruption drill, a tainted sample) assign a new dict instead of
+    mutating it.
+    """
+
+    __slots__ = ("kind", "cycle", "bits", "source", "value", "address",
+                 "extra")
+    __hash__ = None
+
+    def __init__(self, kind: str, cycle: int, bits: int, source: str = "",
+                 value: int = 0, address: Optional[int] = None,
+                 extra: dict = NO_EXTRA) -> None:
+        self.kind = kind
+        self.cycle = cycle
+        self.bits = bits
+        self.source = source
+        self.value = value
+        self.address = address
+        self.extra = extra
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.cycle, self.bits, self.source, self.value,
+                self.address, self.extra)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "TraceMessage(%s)" % ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields()))
 
     def checksum(self) -> int:
         """CRC over the content fields, as the hardware frames it.
@@ -74,9 +123,10 @@ class TraceMessage:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TraceMessage":
+        extra = payload["extra"]
         return cls(payload["kind"], payload["cycle"], payload["bits"],
                    payload["source"], payload["value"], payload["address"],
-                   dict(payload["extra"]))
+                   dict(extra) if extra else NO_EXTRA)
 
 
 @dataclass
@@ -145,9 +195,17 @@ class MessageFactory:
         return _varlen_bits(delta)
 
     def rate_sample(self, cycle: int, counter: str, value: int) -> TraceMessage:
-        """The paper's enhanced-profiling message: one counted-events value."""
-        bits = (_HEADER_BITS + _SOURCE_BITS + _varlen_bits(value)
-                + self._stamp_bits(cycle))
+        """The paper's enhanced-profiling message: one counted-events value.
+
+        A fine grid builds one per closed window, so the size is computed
+        inline: :func:`_varlen_bits` of the value plus, with timestamps
+        on, of the delta (``_stamp_bits``), both as ``8 * groups``."""
+        bits = (_HEADER_BITS + _SOURCE_BITS
+                + 8 * ((value.bit_length() + 7) // 8 or 1))
+        if self.timestamp_enabled:
+            delta = cycle - self._last_cycle
+            self._last_cycle = cycle
+            bits += 8 * ((delta.bit_length() + 7) // 8 or 1)
         return TraceMessage(RATE_SAMPLE, cycle, bits, counter, value)
 
     def counter_raw(self, cycle: int, counter: str, value: int) -> TraceMessage:
