@@ -14,12 +14,12 @@ from ..fleet.store import request_stop, stop_requested
 from .coordinator import (cluster_status, dedupe_records, finalize,
                           is_final, job_plan, load_manifest, submit)
 from .lease import Lease, LeaseManager
-from .local import fold_report, run_clustered, spawn_node
+from .local import fold_report, run_clustered
 from .node import ClusterNode
 
 __all__ = [
     "ClusterNode", "Lease", "LeaseManager", "cluster_status",
     "dedupe_records", "finalize", "fold_report", "is_final", "job_plan",
-    "load_manifest", "request_stop", "run_clustered", "spawn_node",
-    "stop_requested", "submit",
+    "load_manifest", "request_stop", "run_clustered", "stop_requested",
+    "submit",
 ]

@@ -1,63 +1,116 @@
-"""Run a whole cluster campaign on one machine: N node subprocesses.
+"""Run a whole cluster campaign on one machine: N forked node processes.
 
 :func:`run_clustered` is the convenience entry point (and the backend
-``repro.serve`` uses): submit the manifest, spawn N ``repro node``
-worker *processes* over the shared directory, wait them out, and fold
-the shared store back into an ordinary
+``repro.serve`` uses): submit the manifest, fork N worker node
+*processes* over the shared directory, wait them out, and fold the
+shared store back into an ordinary
 :class:`~repro.fleet.orchestrator.CampaignReport` — so callers (CLI,
 service, tests) see exactly the single-node result shape, including the
 byte-identical ``aggregate.json``.
 
-Real subprocesses, not threads: the whole point of the cluster layer is
-surviving *process death*, and the chaos drill SIGKILLs one of these
-workers mid-campaign.  Node crashes are therefore non-fatal here — the
-fold checks that the campaign *finalized* (or was stopped, or ran out
-of time), not that every worker exited cleanly; a campaign every node
-left unfinished for any other reason is a :class:`ClusterError`.
+Real processes, not threads: the whole point of the cluster layer is
+surviving *process death*.  Node crashes are therefore non-fatal here —
+the fold checks that the campaign *finalized* (or was stopped, or ran
+out of time), not that every worker exited cleanly; a campaign every
+node left unfinished for any other reason is a :class:`ClusterError`.
+
+Forked, not exec'd: a local node starts from the launcher's warm image,
+so it pays no exec and no imports.  The child is made to start as an
+exec'd ``repro node`` would (:func:`_node_child`), so nothing of the
+launcher survives into it but memory.  ``repro node``
+(:func:`node_command`) starts nodes on other machines, and the chaos
+drill SIGKILLs such processes.
 """
 
 from __future__ import annotations
 
+import faulthandler
 import os
-import subprocess
+import selectors
+import signal
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ClusterError, ConfigurationError
 from ..fleet.metrics import CampaignMetrics
 from ..fleet.orchestrator import CampaignReport
 from ..fleet.spec import CampaignJob
 from ..fleet.store import ResultStore, request_stop, stop_requested
+from ..fleet.worker import start_forked_worker
 from .coordinator import dedupe_records, is_final, load_manifest, submit
-from .node import ClusterNode
-
-
-def _node_env() -> Dict[str, str]:
-    """Subprocess environment with this package importable."""
-    env = dict(os.environ)
-    import repro
-    src_root = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "") \
-        if env.get("PYTHONPATH") else src_root
-    return env
+from .node import NODE_DONE, NODE_STOPPED, ClusterNode
 
 
 def node_command(cluster_dir: str, node_id: str,
                  ttl_s: float) -> List[str]:
-    """The ``repro node`` argv for one worker subprocess."""
+    """The ``repro node`` argv that starts one worker node elsewhere."""
     return [sys.executable, "-m", "repro.cli", "node",
             "--cluster-dir", cluster_dir, "--node-id", node_id,
             "--ttl", str(ttl_s)]
 
 
-def spawn_node(cluster_dir: str, node_id: str,
-               ttl_s: float = 10.0) -> subprocess.Popen:
-    """Start one detached worker node over ``cluster_dir``."""
-    return subprocess.Popen(
-        node_command(cluster_dir, node_id, ttl_s), env=_node_env(),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+def _node_child(cluster_dir: str, node_id: str, ttl_s: float,
+                exit_fd: int) -> int:
+    """A forked node's whole life; returns its exit status, by
+    ``repro node``'s rule (0 once done or stopped, else 1).
+
+    It starts as an exec'd ``repro node`` would.  It keeps no inherited
+    descriptor but ``exit_fd``, the write end of its exit pipe: a
+    ``flock`` another launcher thread holds (the service journal's, a
+    store's) would otherwise outlive its release, and a service's
+    listening socket the service.  Its stdout and stderr go to
+    ``/dev/null``, its signal dispositions are the defaults, and no
+    crash report goes to a descriptor a node file may have reused.
+    """
+    start_forked_worker()
+    os.closerange(3, exit_fd)
+    os.closerange(exit_fd + 1, os.sysconf("SC_OPEN_MAX"))
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    os.close(devnull)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+    faulthandler.disable()
+    try:
+        summary = ClusterNode(cluster_dir, node_id=node_id,
+                              ttl_s=ttl_s).run()
+    except ClusterError:
+        return 1
+    return 0 if summary["state"] in (NODE_DONE, NODE_STOPPED) else 1
+
+
+def _fork_node(cluster_dir: str, node_id: str,
+               ttl_s: float) -> Tuple[int, int]:
+    """Fork one worker node; returns its pid and the read end of its
+    exit pipe, which reads end-of-file once the node has exited."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            status = _node_child(cluster_dir, node_id, ttl_s, write_fd)
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _await_exits(pipes: Sequence[int], deadline: float) -> bool:
+    """Wait until every exit pipe reads end-of-file; False once
+    ``deadline`` (``time.monotonic()``) passes first."""
+    with selectors.DefaultSelector() as selector:
+        for fd in pipes:
+            selector.register(fd, selectors.EVENT_READ)
+        while selector.get_map():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            for key, _ in selector.select(remaining):
+                selector.unregister(key.fd)
+    return True
 
 
 def fold_report(cluster_dir: str, nodes: int = 1,
@@ -104,12 +157,13 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
                   cache: bool = True,
                   ttl_s: float = 5.0,
                   wait_timeout_s: float = 600.0) -> CampaignReport:
-    """Execute a campaign over ``nodes`` worker processes; fold the report.
+    """Execute a campaign over ``nodes`` forked worker processes; fold
+    the report.
 
     ``jobs=None`` reuses a manifest already submitted into
     ``cluster_dir`` (the service pre-submits, then fans out).
     ``nodes=0`` runs a single :class:`ClusterNode` in this process
-    instead of spawning — no crash isolation, but deterministic and
+    instead of forking — no crash isolation, but deterministic and
     debuggable, and still exercising the full lease/fence protocol
     (tests and ``--nodes 0`` use it).
     """
@@ -126,30 +180,24 @@ def run_clustered(jobs: Optional[Sequence[CampaignJob]],
         ClusterNode(cluster_dir, node_id="node-local", ttl_s=ttl_s).run()
         return fold_report(cluster_dir, nodes=1,
                            wall_s=time.perf_counter() - start)
-    procs = [spawn_node(cluster_dir, f"node-{index}", ttl_s=ttl_s)
-             for index in range(nodes)]
-    deadline = time.monotonic() + wait_timeout_s
+    children: List[Tuple[int, int]] = []    # (pid, exit pipe read end)
+    exited = False
     try:
-        for proc in procs:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ClusterError(
-                    f"cluster campaign in {cluster_dir!r} did not finish "
-                    f"within {wait_timeout_s:.0f} s")
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                raise ClusterError(
-                    f"cluster campaign in {cluster_dir!r} did not finish "
-                    f"within {wait_timeout_s:.0f} s")
-    except ClusterError:
-        request_stop(cluster_dir)
-        for proc in procs:
-            proc.kill()
-        raise
+        for index in range(nodes):
+            children.append(_fork_node(cluster_dir, f"node-{index}", ttl_s))
+        exited = _await_exits([fd for _, fd in children],
+                              time.monotonic() + wait_timeout_s)
+        if not exited:
+            request_stop(cluster_dir)
+            raise ClusterError(
+                f"cluster campaign in {cluster_dir!r} did not finish "
+                f"within {wait_timeout_s:.0f} s")
     finally:
-        for proc in procs:
-            if proc.poll() is None:    # pragma: no cover - defensive
-                proc.kill()
+        # no node outlives this call: kill whatever still runs, reap all
+        for pid, fd in children:
+            os.close(fd)
+            if not exited:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return fold_report(cluster_dir, nodes=nodes,
                        wall_s=time.perf_counter() - start)

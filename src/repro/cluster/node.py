@@ -64,6 +64,10 @@ from .lease import Lease, LeaseManager
 #: the one lease resource that is not a job
 FINALIZE_RESOURCE = "finalize"
 
+#: an idle node's longest sleep between checks for a final or stopped
+#: campaign; a full claim scan still waits ``poll_s``
+IDLE_SLICE_S = 0.01
+
 #: node exit summaries (``ClusterNode.run`` return value ``state``)
 NODE_DONE = "done"          # campaign finalized (by us or a peer)
 NODE_STOPPED = "stopped"    # STOP file honoured at a safe boundary
@@ -296,6 +300,18 @@ class ClusterNode:
         return outcome
 
     # -- the node loop -------------------------------------------------------
+    def _idle(self, seconds: float) -> None:
+        """Wait up to ``seconds`` for the next claim scan, in slices of
+        at most :data:`IDLE_SLICE_S`; return early once the campaign is
+        final or asked to stop (one ``stat`` each per slice)."""
+        until = time.monotonic() + seconds
+        while not is_final(self.cluster_dir) and \
+                campaign_stop(self.cluster_dir, self.deadline_at) is None:
+            remaining = until - time.monotonic()
+            if remaining <= 0:
+                return
+            time.sleep(min(IDLE_SLICE_S, remaining))
+
     def run(self) -> Dict:
         """Work until the campaign finalizes (or stop/deadline); returns
         a summary dict (``state``, counters, aggregate path when final).
@@ -357,7 +373,7 @@ class ClusterNode:
                         self.leases.release(final_lease)
                     break
             # jobs all leased out (or finalize contended): idle-wait
-            time.sleep(self.poll_s)
+            self._idle(self.poll_s)
         if aggregate_path is None and is_final(self.cluster_dir):
             aggregate_path = self.store.aggregate_path
         self._beat(state)

@@ -64,7 +64,7 @@ from .store import ResultStore, job_record
 # the orchestrator calls its own run_shard binding: bench/phases.py wraps
 # worker.run_shard to count other callers
 from .worker import (STOP_REASONS, StopCheck, campaign_stop, run_shard,
-                     shard_outcome, should_retry)
+                     shard_outcome, should_retry, start_forked_worker)
 
 
 def _pool_task(job: Dict, *args) -> List[Dict]:
@@ -185,10 +185,10 @@ class CampaignRunner:
     # -- pool lifecycle ------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # gc.freeze at start: _pool_task's collections skip the
-            # heap a worker inherits
-            self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                             initializer=gc.freeze)
+            # a worker drops the telemetry it inherits and freezes its
+            # heap, so _pool_task's collections skip it
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=start_forked_worker)
         return self._pool
 
     def _retire_pool(self, broken: bool = False) -> None:
@@ -485,8 +485,8 @@ class CampaignRunner:
                          attempt=outcome["attempt"])
             return
         if tel is not None and self.workers > 0:
-            # pool workers don't inherit the telemetry slot, so their job
-            # spans are retro-emitted here from the reported in-worker
+            # pool workers empty the telemetry slot they inherit, so
+            # their job spans are retro-emitted here from the reported in-worker
             # wall clock (workers=0 records live spans)
             self._retro_span(tel, job, outcome)
         wall_s = outcome["wall_s"] + prior_wall_s

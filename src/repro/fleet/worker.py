@@ -32,6 +32,7 @@ cluster nodes.
 
 from __future__ import annotations
 
+import gc
 import json  # noqa: F401  (bench/phases.py wraps worker.json)
 import os
 import time
@@ -52,6 +53,7 @@ from ..ed.emem import put_fifo
 from ..errors import CampaignStopped, ConfigurationError, FaultInjected
 from ..faults import (FaultInjector, FaultPlan, SimulationWatchdog,
                       active_injector, fault_point)
+from ..faults import injector as _injector
 from ..obs import bridge as _obs_bridge
 from ..obs import runtime as _obs
 from ..soc.config import CONFIGS
@@ -65,6 +67,20 @@ StopCheck = Callable[[], Optional[str]]
 #: the reasons :func:`campaign_stop` returns; an outcome with one of
 #: them as its status ends its shard
 STOP_REASONS = ("stopped", "deadline")
+
+
+def start_forked_worker() -> None:
+    """The first step of a process forked to run jobs: a pool worker or
+    a local cluster node.
+
+    Empties the process-wide telemetry and fault-injector slots it
+    inherits: nobody reads what a worker would record into the parent's
+    telemetry, and a job installs its own injector from its fault plan.
+    Then freezes the inherited heap, so the per-job collections skip it.
+    """
+    _obs._active = None
+    _injector._active = None
+    gc.freeze()
 
 
 def campaign_stop(directory: Optional[str],
@@ -355,7 +371,8 @@ def _execute(job: Dict, watchdog_spec: Optional[Dict] = None,
     live plane."""
     tel = _obs._active
     # a live span only with in-process execution (workers=0) or inside a
-    # worker that installed its own telemetry; pool workers inherit none
+    # worker that installed its own telemetry; a forked worker empties
+    # the slot it inherits (start_forked_worker)
     span = nullcontext() if tel is None else tel.span(
         "job.execute", cat="fleet", job=job["name"], domain=job["domain"],
         device=job["device"])

@@ -117,8 +117,8 @@ def test_every_node_exiting_unfinished_is_an_error(tmp_path, monkeypatch):
     """Nodes that all exit before the campaign is final, with no STOP
     file and no passed deadline, fail the run: it is not a preemption
     for a caller to requeue."""
-    monkeypatch.setattr(local, "node_command", lambda *args: [
-        sys.executable, "-c", "raise SystemExit(1)"])
+    # every forked node exits 1 at once, as a crashing node would
+    monkeypatch.setattr(local, "_node_child", lambda *args: 1)
     with pytest.raises(ClusterError, match="not final"):
         run_clustered(make_jobs(2), str(tmp_path / "lib"), nodes=2)
     with pytest.raises(SystemExit, match="not final"):

@@ -16,6 +16,7 @@ The acceptance properties of ``repro.obs``:
 
 import itertools
 import json
+import multiprocessing
 import re
 
 import pytest
@@ -402,6 +403,62 @@ def test_campaign_telemetry_covers_fleet(tmp_path):
     assert {"campaign.start", "job.done", "campaign.end"} <= events
     starts = tel.events.by_event("campaign.start")
     assert len(starts) == 2 and report.metrics.executed == 2
+
+
+def _parent_view(tel):
+    """What a pooled campaign's parent records: span and event names,
+    and its job counts."""
+    spans = sorted(e["name"] for e in tel.tracer.events if e["ph"] != "M")
+    events = sorted(r["event"] for r in tel.events.records)
+    jobs = tel.registry.get("repro_fleet_jobs_total")
+    return spans, events, jobs.labels("ok", "executed").value
+
+
+def _pooled_campaign(tmp_path, name, monkeypatch):
+    """A two-worker campaign under telemetry and a fault injector; each
+    worker notes which of the two slots it ran under before its job."""
+    from repro.faults import injector
+    from repro.fleet import orchestrator
+    from repro.obs import runtime
+    notes = tmp_path / f"{name}-slots"
+    notes.mkdir()
+    run_shard = orchestrator.run_shard
+
+    def probe(jobs, *args):
+        (notes / jobs[0]["name"]).write_text(json.dumps(
+            [runtime._active is not None, injector._active is not None]))
+        return run_shard(jobs, *args)
+
+    monkeypatch.setattr(orchestrator, "run_shard", probe)
+    with telemetry(clock=fake_clock()) as tel, \
+            FaultInjector(FaultPlan(rules=())):
+        report = CampaignRunner(make_jobs(), workers=2,
+                                campaign_dir=str(tmp_path / name)).run()
+    monkeypatch.setattr(orchestrator, "run_shard", run_shard)
+    assert len(report.ok_records) == 2
+    slots = [json.loads(path.read_text()) for path in notes.iterdir()]
+    assert len(slots) == 2
+    return tel, slots
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked pool worker inherits the slots")
+def test_pool_workers_drop_inherited_telemetry(tmp_path, monkeypatch):
+    """A forked pool worker empties the telemetry and fault-injector
+    slots it inherits: nobody reads what it would record there.  The
+    parent's own spans, events and counts stay as they were."""
+    import gc
+
+    from repro.fleet import orchestrator
+    tel, slots = _pooled_campaign(tmp_path, "clean", monkeypatch)
+    assert slots == [[False, False]] * 2
+    # the same campaign with workers that keep what they inherit
+    monkeypatch.setattr(orchestrator, "start_forked_worker", gc.freeze)
+    kept, slots = _pooled_campaign(tmp_path, "inherited", monkeypatch)
+    assert slots == [[True, True]] * 2
+    assert _parent_view(tel) == _parent_view(kept)
+    spans, _, executed = _parent_view(tel)
+    assert executed == 2 and spans.count("job.execute") == 2
 
 
 def test_campaign_metrics_degradation_counts_from_payloads():

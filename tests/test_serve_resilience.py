@@ -259,13 +259,14 @@ def test_failed_campaigns_feed_the_breaker(tmp_path):
 
 def test_queued_campaign_expires_at_deadline(tmp_path):
     async def main():
-        # one slot occupied by a long campaign; the queued one carries a
-        # deadline too short to ever reach a slot
+        # one slot occupied by a long campaign, far longer than the
+        # deadline (service.stop() evicts it at teardown); the queued one
+        # carries a deadline too short to ever reach a slot
         service = service_at(tmp_path / "serve", slots=1)
         await service.start()
         try:
             long = service.submit(
-                "t1", {"count": 2, "cycles": 40_000, "seed": 9})
+                "t1", {"count": 2, "cycles": 4_000_000, "seed": 9})
             await wait_for(lambda: long.state == "running")
             doomed = service.submit("t2", dict(SMALL, deadline_s=0.2))
             assert doomed.deadline_at is not None
