@@ -428,6 +428,7 @@ def cmd_node(args) -> int:
     import gc
 
     from .cluster import ClusterNode
+    from .cluster.node import exit_status
     from .errors import ClusterError
 
     def _run() -> int:
@@ -444,7 +445,7 @@ def cmd_node(args) -> int:
               f"{summary['jobs_done']} jobs, {summary['fenced']} fenced")
         if summary["aggregate_path"]:
             print(f"aggregate: {summary['aggregate_path']}")
-        return 0 if summary["state"] in ("done", "stopped") else 1
+        return exit_status(summary)
 
     if _telemetry_wanted(args):
         from .obs import telemetry
@@ -907,8 +908,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lease TTL: miss heartbeats for this long and "
                         "the node's job migrates (default 10)")
     p.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
-                   help="idle poll interval while jobs are all "
-                        "leased out (default 0.2)")
+                   help="claim-scan interval while jobs are all "
+                        "leased out; an idle node still checks for a "
+                        "final or stopped campaign every 10 ms "
+                        "(default 0.2)")
     _add_telemetry_flags(p)
 
     p = sub.add_parser("cluster",

@@ -39,7 +39,7 @@ from ..fleet.spec import CampaignJob
 from ..fleet.store import ResultStore, request_stop, stop_requested
 from ..fleet.worker import start_forked_worker
 from .coordinator import dedupe_records, is_final, load_manifest, submit
-from .node import NODE_DONE, NODE_STOPPED, ClusterNode
+from .node import ClusterNode, exit_status
 
 
 def node_command(cluster_dir: str, node_id: str,
@@ -50,10 +50,32 @@ def node_command(cluster_dir: str, node_id: str,
             "--ttl", str(ttl_s)]
 
 
+def _close_inherited(keep: int) -> None:
+    """Close every descriptor above stderr but ``keep``.
+
+    Only the descriptors ``/proc/self/fd`` lists as open: closing every
+    number up to the descriptor limit costs one syscall per number, and
+    containers set that limit as high as 2**30.  Without that listing,
+    every number up to the limit it is.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        os.closerange(3, keep)
+        os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
+        return
+    for fd in fds:
+        if fd > 2 and fd != keep:
+            try:
+                os.close(fd)
+            except OSError:     # the listing's own, closed already
+                pass
+
+
 def _node_child(cluster_dir: str, node_id: str, ttl_s: float,
                 exit_fd: int) -> int:
-    """A forked node's whole life; returns its exit status, by
-    ``repro node``'s rule (0 once done or stopped, else 1).
+    """A forked node's whole life; returns its exit status
+    (:func:`~repro.cluster.node.exit_status`).
 
     It starts as an exec'd ``repro node`` would.  It keeps no inherited
     descriptor but ``exit_fd``, the write end of its exit pipe: a
@@ -64,8 +86,7 @@ def _node_child(cluster_dir: str, node_id: str, ttl_s: float,
     crash report goes to a descriptor a node file may have reused.
     """
     start_forked_worker()
-    os.closerange(3, exit_fd)
-    os.closerange(exit_fd + 1, os.sysconf("SC_OPEN_MAX"))
+    _close_inherited(exit_fd)
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)
     os.dup2(devnull, 2)
@@ -74,12 +95,8 @@ def _node_child(cluster_dir: str, node_id: str, ttl_s: float,
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
     faulthandler.disable()
-    try:
-        summary = ClusterNode(cluster_dir, node_id=node_id,
-                              ttl_s=ttl_s).run()
-    except ClusterError:
-        return 1
-    return 0 if summary["state"] in (NODE_DONE, NODE_STOPPED) else 1
+    return exit_status(ClusterNode(cluster_dir, node_id=node_id,
+                                   ttl_s=ttl_s).run())
 
 
 def _fork_node(cluster_dir: str, node_id: str,
@@ -89,7 +106,7 @@ def _fork_node(cluster_dir: str, node_id: str,
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
-        status = 1
+        status = 1      # also when the node raises
         try:
             status = _node_child(cluster_dir, node_id, ttl_s, write_fd)
         finally:

@@ -74,6 +74,12 @@ NODE_STOPPED = "stopped"    # STOP file honoured at a safe boundary
 NODE_DEADLINE = "deadline"  # campaign deadline passed
 
 
+def exit_status(summary: Dict) -> int:
+    """A node process's exit status for its ``run`` summary: 0 once the
+    campaign is done or the node stopped, else 1."""
+    return 0 if summary["state"] in (NODE_DONE, NODE_STOPPED) else 1
+
+
 class ClusterNode:
     """One worker process in a shared-directory cluster campaign."""
 
@@ -305,8 +311,7 @@ class ClusterNode:
         at most :data:`IDLE_SLICE_S`; return early once the campaign is
         final or asked to stop (one ``stat`` each per slice)."""
         until = time.monotonic() + seconds
-        while not is_final(self.cluster_dir) and \
-                campaign_stop(self.cluster_dir, self.deadline_at) is None:
+        while not is_final(self.cluster_dir) and self._should_stop() is None:
             remaining = until - time.monotonic()
             if remaining <= 0:
                 return

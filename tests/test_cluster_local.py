@@ -8,7 +8,8 @@ These tests pin what that promises:
   ``wait_timeout_s`` runs out on a hung node, which is killed and reaped;
 * a node keeps no descriptor of the launcher's: a ``flock`` the launcher
   held while it forked is free to another process once the launcher
-  releases it, while the node still runs;
+  releases it, while the node still runs; and it closes only the
+  descriptors listed open, never every number up to the limit;
 * a node starts with the telemetry and fault-injector slots empty, the
   default SIGINT and SIGTERM dispositions, and stdout and stderr on
   ``/dev/null``;
@@ -18,6 +19,7 @@ These tests pin what that promises:
 
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -141,15 +143,38 @@ def test_a_node_keeps_no_descriptor_of_the_launcher(tmp_path, monkeypatch):
     assert probes == [0]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs the /proc/self/fd listing")
+def test_a_node_closes_only_the_open_descriptors(tmp_path, monkeypatch):
+    """``closerange`` up to the descriptor limit costs one syscall per
+    number, and containers set that limit as high as 2**30."""
+    def walk(*args):
+        raise AssertionError("walked every descriptor number")
+
+    monkeypatch.setattr(os, "closerange", walk)
+    report = run_clustered(make_jobs(1), str(tmp_path), nodes=1)
+    assert report.aggregate_path
+
+
 def test_a_node_starts_clean(tmp_path, monkeypatch):
     """Forked under telemetry, a fault injector and a SIGTERM handler,
-    a node sees none of them, and writes nowhere but ``/dev/null``."""
+    a node sees none of them, holds no high-numbered descriptor of the
+    launcher's, and writes nowhere but ``/dev/null``."""
     seen = tmp_path / "seen.json"
     run = ClusterNode.run
     devnull = os.stat(os.devnull)
+    high = min(resource.getrlimit(resource.RLIMIT_NOFILE)[0], 4096) - 1
+
+    def is_open(fd):
+        try:
+            os.fstat(fd)
+        except OSError:
+            return False
+        return True
 
     def probing_run(self):
         seen.write_text(json.dumps({
+            "high_fd": is_open(high),
             "telemetry": runtime._active is None,
             "injector": injector._active is None,
             "sigint": signal.getsignal(signal.SIGINT)
@@ -162,14 +187,19 @@ def test_a_node_starts_clean(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ClusterNode, "run", probing_run)
     previous = signal.signal(signal.SIGTERM, lambda *args: None)
+    low = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(low, high)
+    os.close(low)
     try:
         with telemetry(), FaultInjector(FaultPlan(rules=())):
             report = run_clustered(make_jobs(1), str(tmp_path / "c"),
                                    nodes=1)
     finally:
+        os.close(high)
         signal.signal(signal.SIGTERM, previous)
     assert report.aggregate_path
     assert json.loads(seen.read_text()) == {
+        "high_fd": False,
         "telemetry": True, "injector": True, "sigint": True,
         "sigterm": True, "stdout": True, "stderr": True}
 
